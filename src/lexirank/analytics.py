@@ -18,13 +18,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .core import (
-    Imputation,
-    JudgmentSet,
-    RankedList,
-    RelevantPositions,
-    project_and_impute,
-)
+from .core import Imputation, JudgmentSet, RankedList, RelevantPositions, project_runs
 from .errors import UndefinedResultError, ValidationError
 from .metrics import MetricId, MetricKind, evaluate
 from .prefs import DEFAULT_TOLERANCE, make_method, metric_compare
@@ -54,36 +48,6 @@ class SimulationConfig:
             raise ValidationError(
                 f"retrieval depth {self.retrieval_depth} outside [1, {self.corpus_size}]"
             )
-
-
-@dataclass(frozen=True)
-class ExactProbability:
-    """A probability held as a reduced big-integer fraction."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator <= 0:
-            raise ValidationError("denominator must be positive")
-        if not 0 <= self.numerator <= self.denominator:
-            raise ValidationError("probability must lie in [0, 1]")
-        g = math.gcd(self.numerator, self.denominator)
-        if g > 1:
-            object.__setattr__(self, "numerator", self.numerator // g)
-            object.__setattr__(self, "denominator", self.denominator // g)
-
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "ExactProbability":
-        return cls(frac.numerator, frac.denominator)
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-    @property
-    def float_view(self) -> float:
-        return float(self.as_fraction)
 
 
 _TIE_METRIC_NAMES = ("tse", "recall@k", "rprecision", "lexirecall")
@@ -121,11 +85,12 @@ def tie_probability(
     corpus_size: int,
     m: int,
     k: int | None = None,
-) -> ExactProbability:
+) -> Fraction:
     """Exact probability that two uniformly random rankings tie under a metric.
 
     Both rankings are full permutations of the corpus sharing the same m
-    relevant items. Closed forms, all evaluated in exact integer arithmetic:
+    relevant items. Closed forms, all evaluated in exact integer arithmetic
+    and returned as a reduced fraction:
 
     * bottom-position ties: sum_i C(i-1, m-1)^2 / C(D, m)^2
     * recall@k ties: sum_i C(k, i)^2 C(D-k, m-i)^2 / C(D, m)^2
@@ -139,10 +104,10 @@ def tie_probability(
         k = metric_k
     total = math.comb(corpus_size, m)
     if name == "lexirecall":
-        return ExactProbability.from_fraction(Fraction(1, total))
+        return Fraction(1, total)
     if name == "tse":
         num = _sum_square_binomials_tail(corpus_size, m)
-        return ExactProbability.from_fraction(Fraction(num, total * total))
+        return Fraction(num, total * total)
     if name == "rprecision":
         k = m
     elif k is None:
@@ -154,7 +119,7 @@ def tie_probability(
         for i in range(0, m + 1)
         if i <= k and m - i <= corpus_size - k
     )
-    return ExactProbability.from_fraction(Fraction(num, total * total))
+    return Fraction(num, total * total)
 
 
 def _sample_sorted_positions(rng: np.random.Generator, corpus_size: int, m: int) -> tuple[int, ...]:
@@ -180,20 +145,6 @@ def _sample_sorted_positions(rng: np.random.Generator, corpus_size: int, m: int)
     return tuple(int(v) for v in out)
 
 
-def _truncate_and_impute(
-    positions: tuple[int, ...], depth: int, corpus_size: int
-) -> RelevantPositions:
-    retrieved = [p for p in positions if p <= depth]
-    missing = len(positions) - len(retrieved)
-    tail = range(corpus_size - missing + 1, corpus_size + 1)
-    return RelevantPositions(
-        tuple(retrieved) + tuple(tail),
-        corpus_size,
-        retrieved_count=len(retrieved),
-        imputation=Imputation.PESSIMISTIC,
-    )
-
-
 PairStream = Iterable[tuple[RelevantPositions, RelevantPositions, int]]
 
 
@@ -215,8 +166,8 @@ def simulate_pairs(config: SimulationConfig) -> Iterator[tuple[RelevantPositions
         px = _sample_sorted_positions(rng, D, m)
         py = _sample_sorted_positions(rng, D, m)
         if truncate:
-            rpx = _truncate_and_impute(px, depth, D)
-            rpy = _truncate_and_impute(py, depth, D)
+            rpx = RelevantPositions.worst_case(m, D, [p for p in px if p <= depth])
+            rpy = RelevantPositions.worst_case(m, D, [p for p in py if p <= depth])
         else:
             rpx = RelevantPositions.from_positions(px, D)
             rpy = RelevantPositions.from_positions(py, D)
@@ -354,47 +305,10 @@ def degrade_judgments(
     ordered = sorted(judgments.relevant_ids)
     drop_idx = rng.choice(m, size=remove, replace=False)
     dropped = {ordered[i] for i in drop_idx}
-    return JudgmentSet(
-        judgments.request_id,
-        frozenset(judgments.relevant_ids - dropped),
-        source=judgments.source,
-    )
+    return JudgmentSet(judgments.request_id, frozenset(judgments.relevant_ids - dropped))
 
 
 Runs = Mapping[str, Mapping[str, RankedList]]
-
-
-def _project_runs(
-    runs: Runs,
-    judgments: Mapping[str, JudgmentSet],
-    mode: Imputation,
-) -> dict[str, dict[str, RelevantPositions]]:
-    """Per request, per run tag, the imputed position vector.
-
-    Requests with no relevant items are skipped with a warning; runs missing
-    a request are scored as an empty ranking (all positions imputed).
-    """
-    corpus_sizes = {rl.corpus_size for run in runs.values() for rl in run.values()}
-    if len(corpus_sizes) != 1:
-        raise ValidationError(f"runs disagree on corpus_size: {sorted(corpus_sizes)}")
-    corpus_size = corpus_sizes.pop()
-    out: dict[str, dict[str, RelevantPositions]] = {}
-    skipped = 0
-    for request_id, judgment in judgments.items():
-        if not judgment.evaluable:
-            skipped += 1
-            continue
-        per_run: dict[str, RelevantPositions] = {}
-        for tag, run in runs.items():
-            ranked = run.get(request_id)
-            if ranked is None:
-                per_run[tag] = RelevantPositions.worst_case(judgment.m, corpus_size)
-            else:
-                per_run[tag] = project_and_impute(ranked, judgment, mode)
-        out[request_id] = per_run
-    if skipped:
-        logger.warning("skipped %d requests with no relevant items", skipped)
-    return out
 
 
 def degradation_study(
@@ -423,8 +337,11 @@ def degradation_study(
     if not run_pairs:
         raise ValidationError("need at least two runs")
 
-    full = _project_runs(runs, judgments, mode)
-    evaluable = sorted(full)
+    evaluable = sorted(q for q, judgment in judgments.items() if judgment.evaluable)
+    skipped = len(judgments) - len(evaluable)
+    if skipped:
+        logger.warning("skipped %d requests with no relevant items", skipped)
+    full, _missing = project_runs(runs, judgments, evaluable, mode)
     full_prefs: dict[str, list[list]] = {}
     for name, fn in resolved:
         full_prefs[name] = [
@@ -439,7 +356,7 @@ def degradation_study(
                 q: degrade_judgments(judgments[q], fraction, stable_seed(seed, sample, q))
                 for q in evaluable
             }
-            degraded = _project_runs(runs, degraded_judgments, mode)
+            degraded, _missing = project_runs(runs, degraded_judgments, evaluable, mode)
             for name, fn in resolved:
                 ties = 0
                 comparisons = 0

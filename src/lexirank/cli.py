@@ -5,27 +5,25 @@ preferences with significance), ``ties`` (analytic or empirical tie rates),
 ``simulate-agreement`` (worst-case agreement over simulated pairs),
 ``orientation`` (precision/recall sensitivity sweeps), and ``degrade``
 (label-removal stability). Every seeded subcommand is byte-identical across
-repeated invocations. LEXIRANK_THREADS overrides the per-request worker
-count; output order never depends on it.
+repeated invocations, and output order never depends on the order of
+``--runs``.
 """
 
 from __future__ import annotations
 
 import argparse
 import logging
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import analytics, io as tables, stats
-from .core import Imputation, RankedList, RelevantPositions, project_and_impute
+from .core import Imputation, RankedList, project_runs
 from .errors import LexirankError, UndefinedResultError, ValidationError
 from .metrics import MetricId, evaluate
-from .prefs import make_method
+from .prefs import make_method, parse_method
 
 logger = logging.getLogger(__name__)
 
@@ -33,23 +31,6 @@ _DEFAULT_EVAL_METRICS = ("AP", "NDCG", "recall@1000", "RPrecision", "TSE")
 _DEFAULT_AGREEMENT_METRICS = ("TSE", "recall@1000", "RPrecision", "AP", "NDCG", "random")
 _DEFAULT_ORIENTATION_METRICS = ("RR", "NDCG", "AP", "recall@1000", "RPrecision", "RBP", "TSE")
 _DEFAULT_DEGRADE_METHODS = ("lexirecall", "metric:AP", "metric:recall@1000")
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("LEXIRANK_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        logger.warning("ignoring non-integer LEXIRANK_THREADS=%r", raw)
-        return 1
-
-
-def _map_requests(fn: Callable, items: Sequence):
-    workers = _worker_count()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def _load_runs(
@@ -93,16 +74,6 @@ def _evaluable_requests(judgments: dict) -> tuple[list[str], int]:
     return evaluable, len(judgments) - len(evaluable)
 
 
-def _positions_for(
-    runs: dict, tag: str, request_id: str, judgment, mode: Imputation
-) -> tuple[RelevantPositions, bool]:
-    ranked = runs[tag].get(request_id)
-    if ranked is None:
-        D = next(iter(runs[tag].values())).corpus_size
-        return RelevantPositions.worst_case(judgment.m, D), True
-    return project_and_impute(ranked, judgment, mode), False
-
-
 def _write_output(rows, columns, args) -> None:
     if args.out == "-":
         tables.write_table(rows, columns, sys.stdout, fmt=args.format)
@@ -120,34 +91,25 @@ def cmd_eval(args) -> int:
     judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
     runs = _load_runs(args.runs, args.corpus_size, args.depth)
     metrics = [MetricId.parse(text, args.corpus_size) for text in args.metric]
-    mode = Imputation(args.imputation)
     evaluable, skipped = _evaluable_requests(judgments)
     orphans = {
         q for run in runs.values() for q in run if q not in judgments
     }
+    projected, missing_cells = project_runs(
+        runs, judgments, evaluable, Imputation(args.imputation)
+    )
     tags = sorted(runs)
-
-    def score_request(request_id: str):
-        judgment = judgments[request_id]
-        out = []
-        missing = 0
-        for tag in tags:
-            rp, was_missing = _positions_for(runs, tag, request_id, judgment, mode)
-            missing += int(was_missing)
-            for metric in metrics:
-                out.append(
-                    {
-                        "request_id": request_id,
-                        "run": tag,
-                        "metric": metric.label,
-                        "value": evaluate(metric, rp),
-                    }
-                )
-        return out, missing
-
-    results = _map_requests(score_request, evaluable)
-    rows = [row for chunk, _missing in results for row in chunk]
-    missing_cells = sum(missing for _chunk, missing in results)
+    rows = [
+        {
+            "request_id": request_id,
+            "run": tag,
+            "metric": metric.label,
+            "value": evaluate(metric, projected[request_id][tag]),
+        }
+        for request_id in evaluable
+        for tag in tags
+        for metric in metrics
+    ]
     _write_output(rows, ["request_id", "run", "metric", "value"], args)
     if skipped:
         _report(f"warning: skipped {skipped} requests with no relevant items")
@@ -163,39 +125,23 @@ def cmd_compare(args) -> int:
     runs = _load_runs(args.runs, args.corpus_size, args.depth)
     if len(runs) < 2:
         raise ValidationError("compare needs at least two runs")
-    mode = Imputation(args.imputation)
-    method_name, method_fn = make_method(
-        args.method, tolerance=args.tolerance, corpus_size=args.corpus_size
-    )
+    method = parse_method(args.method, args.corpus_size)
+    if args.hsd and method == "lexirecall":
+        raise ValidationError(
+            "--hsd needs per-request scores; use a metric method such as metric:AP"
+        )
+    method_name, method_fn = make_method(method, tolerance=args.tolerance)
     evaluable, skipped = _evaluable_requests(judgments)
     if not evaluable:
         raise ValidationError("no evaluable requests")
     tags = sorted(runs)
+    projected, _missing = project_runs(runs, judgments, evaluable, Imputation(args.imputation))
 
-    def project_request(request_id: str):
-        judgment = judgments[request_id]
-        return {
-            tag: _positions_for(runs, tag, request_id, judgment, mode)[0] for tag in tags
-        }
-
-    projected = dict(zip(evaluable, _map_requests(project_request, evaluable)))
-
-    is_metric_method = args.method.lower() not in ("lexirecall", "tse")
+    is_metric_method = isinstance(method, MetricId)
     score_matrix = None
     if is_metric_method or args.hsd:
-        metric_name = (
-            args.method[len("metric:") :]
-            if args.method.lower().startswith("metric:")
-            else args.method
-        )
-        try:
-            metric = MetricId.parse(metric_name, args.corpus_size)
-        except ValidationError:
-            if args.hsd:
-                raise ValidationError(
-                    "--hsd needs per-request scores; use a metric method such as metric:AP"
-                )
-            raise
+        # The tse preference is the order of the TSE metric, so HSD scores it.
+        metric = method if is_metric_method else MetricId.tse()
         values = np.array(
             [[evaluate(metric, projected[q][tag]) for q in evaluable] for tag in tags]
         )
@@ -285,7 +231,7 @@ def cmd_ties(args) -> int:
                         "D": args.corpus_size,
                         "m": m,
                         "metric": label,
-                        "tie_probability": prob.float_view,
+                        "tie_probability": float(prob),
                     }
                 )
         _write_output(rows, ["D", "m", "metric", "tie_probability"], args)

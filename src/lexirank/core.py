@@ -5,10 +5,11 @@ single representation: the sorted vector of 1-based rank positions of the
 relevant items in a ranking, held by :class:`RelevantPositions`. This module
 turns raw system output plus binary judgments into that vector, filling in
 positions of unretrieved relevant items either pessimistically (bottom of the
-corpus) or optimistically (directly below the retrieved prefix).
+corpus) or optimistically (directly below the retrieved prefix), one request
+and run at a time (:func:`project_and_impute`) or for a whole collection
+(:func:`project_runs`).
 
-All types are immutable after construction and all functions are pure, so
-values can be shared freely across threads.
+All types are immutable after construction and all functions are pure.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Mapping, Sequence
 
 from .errors import UnevaluableRequestError, ValidationError
 
@@ -27,11 +28,6 @@ class Imputation(str, Enum):
     PESSIMISTIC = "pessimistic"
     OPTIMISTIC = "optimistic"
     NONE = "none"
-
-
-class JudgmentSource(str, Enum):
-    BINARY = "binary"
-    BINARIZED_FROM_GRADES = "binarized_from_grades"
 
 
 @dataclass(frozen=True)
@@ -79,7 +75,6 @@ class JudgmentSet:
 
     request_id: str
     relevant_ids: frozenset[str]
-    source: JudgmentSource = JudgmentSource.BINARY
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "relevant_ids", frozenset(self.relevant_ids))
@@ -99,15 +94,13 @@ class RelevantPositions:
 
     ``retrieved_count`` says how many of the positions came from the actual
     retrieved prefix; the remaining trailing entries were imputed according
-    to ``imputation``. ``ids_at_levels``, when present, aligns item ids with
-    positions (the inverse projection).
+    to ``imputation``.
     """
 
     positions: tuple[int, ...]
     corpus_size: int
     retrieved_count: int
     imputation: Imputation = Imputation.NONE
-    ids_at_levels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
@@ -138,10 +131,6 @@ class RelevantPositions:
                     )
         elif self.imputation is Imputation.NONE and self.retrieved_count != m:
             raise ValidationError("without imputation every position must be retrieved")
-        if self.ids_at_levels is not None:
-            object.__setattr__(self, "ids_at_levels", tuple(self.ids_at_levels))
-            if len(self.ids_at_levels) != m:
-                raise ValidationError("ids_at_levels must align with positions")
 
     @property
     def m(self) -> int:
@@ -156,16 +145,20 @@ class RelevantPositions:
         return cls(pos, corpus_size, len(pos), Imputation.NONE)
 
     @classmethod
-    def worst_case(cls, m: int, corpus_size: int) -> "RelevantPositions":
-        """Positions for a request with no retrieved output at all.
+    def worst_case(
+        cls, m: int, corpus_size: int, retrieved: Sequence[int] = ()
+    ) -> "RelevantPositions":
+        """Retrieved positions, then the other relevant items at the bottom.
 
-        Every relevant item is imputed to the bottom of the corpus. Used to
-        score runs that are missing a request entirely.
+        The ``m - len(retrieved)`` unretrieved relevant items take the last
+        positions of the corpus. With nothing retrieved this scores a run
+        that is missing a request entirely. It is the one place the
+        pessimistic tail is built.
         """
         if not 1 <= m <= corpus_size:
             raise ValidationError(f"need 1 <= m <= corpus_size, got m={m}, D={corpus_size}")
-        pos = tuple(range(corpus_size - m + 1, corpus_size + 1))
-        return cls(pos, corpus_size, 0, Imputation.PESSIMISTIC)
+        tail = range(corpus_size - m + len(retrieved) + 1, corpus_size + 1)
+        return cls((*retrieved, *tail), corpus_size, len(retrieved), Imputation.PESSIMISTIC)
 
 
 class ExposureKind(str, Enum):
@@ -238,11 +231,6 @@ class ExposureModel:
         if self.kind is ExposureKind.LINEAR:
             return f"linear({self.corpus_size})"
         return self.kind.value
-
-
-def exposure_at(model: ExposureModel, position: int) -> float:
-    """Functional form of :meth:`ExposureModel.at`."""
-    return model.at(position)
 
 
 class PreferenceOutcome(Enum):
@@ -330,14 +318,8 @@ def project_and_impute(
         raise ValidationError(f"{m} relevant items cannot fit in a corpus of {D}")
 
     relevant = judgments.relevant_ids
-    ranks: list[int] = []
-    ids: list[str] = []
-    for rank, item in enumerate(ranked_list.items, start=1):
-        if item in relevant:
-            ranks.append(rank)
-            ids.append(item)
-    retrieved = len(ranks)
-    missing = m - retrieved
+    ranks = [rank for rank, item in enumerate(ranked_list.items, start=1) if item in relevant]
+    missing = m - len(ranks)
     k = ranked_list.depth
 
     if mode is Imputation.PESSIMISTIC:
@@ -345,8 +327,8 @@ def project_and_impute(
             raise ValidationError(
                 f"cannot impute {missing} items below a prefix of {k} in a corpus of {D}"
             )
-        tail = range(D - missing + 1, D + 1)
-    elif mode is Imputation.OPTIMISTIC:
+        return RelevantPositions.worst_case(m, D, ranks)
+    if mode is Imputation.OPTIMISTIC:
         if k + missing > D:
             raise ValidationError(
                 f"cannot place {missing} items after a prefix of {k} in a corpus of {D}"
@@ -354,16 +336,37 @@ def project_and_impute(
         tail = range(k + 1, k + missing + 1)
     else:
         tail = range(0)
+    return RelevantPositions((*ranks, *tail), D, len(ranks), mode)
 
-    # Unretrieved ids are appended in sorted order purely for determinism;
-    # their relative order within the imputed block is unobservable.
-    unretrieved = sorted(relevant.difference(ids))
-    positions = tuple(ranks) + tuple(tail)
-    ids_at_levels = tuple(ids) + tuple(unretrieved[: len(tail)])
-    return RelevantPositions(
-        positions=positions,
-        corpus_size=D,
-        retrieved_count=retrieved,
-        imputation=mode,
-        ids_at_levels=ids_at_levels,
-    )
+
+def project_runs(
+    runs: Mapping[str, Mapping[str, RankedList]],
+    judgments: Mapping[str, JudgmentSet],
+    requests: Iterable[str],
+    mode: Imputation = Imputation.PESSIMISTIC,
+) -> tuple[dict[str, dict[str, RelevantPositions]], int]:
+    """Per request and run tag, the imputed position vector.
+
+    ``runs`` maps run tags to per-request rankings and ``requests`` names
+    evaluable requests of ``judgments``. A run with no ranking for a request
+    is scored as an empty ranking, every relevant item imputed to the bottom;
+    the second return value counts those cells.
+    """
+    corpus_sizes = {rl.corpus_size for run in runs.values() for rl in run.values()}
+    if len(corpus_sizes) != 1:
+        raise ValidationError(f"runs disagree on corpus_size: {sorted(corpus_sizes)}")
+    (D,) = corpus_sizes
+    out: dict[str, dict[str, RelevantPositions]] = {}
+    missing = 0
+    for request_id in requests:
+        judgment = judgments[request_id]
+        per_run: dict[str, RelevantPositions] = {}
+        for tag, run in runs.items():
+            ranked = run.get(request_id)
+            if ranked is None:
+                per_run[tag] = RelevantPositions.worst_case(judgment.m, D)
+                missing += 1
+            else:
+                per_run[tag] = project_and_impute(ranked, judgment, mode)
+        out[request_id] = per_run
+    return out, missing

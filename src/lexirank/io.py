@@ -4,7 +4,8 @@ Run files are the usual six-column whitespace format
 ``request Q0 item rank score tag``; qrels are ``request iter item grade``;
 rating files are ``user,item,rating`` CSVs. Within a request, the ranking
 order is score-descending with item-id ascending as the tiebreak; the rank
-column is validated but never trusted.
+column is validated but never trusted. Scores must be finite, and every line
+of a run file must carry the same system tag.
 """
 
 from __future__ import annotations
@@ -12,27 +13,20 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
-from .core import JudgmentSet, JudgmentSource, RankedList
+from .core import JudgmentSet, RankedList
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 
 class RunFileRecord(NamedTuple):
-    request_id: str
     item_id: str
     rank: int
     score: float
-    system_tag: str
-
-
-class QrelsRecord(NamedTuple):
-    request_id: str
-    item_id: str
-    grade: int
 
 
 def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
@@ -43,22 +37,20 @@ def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
                 yield number, line
 
 
-def parse_run_file(
-    path: str | Path,
-    corpus_size: int,
-    system_tag: str | None = None,
-) -> dict[str, RankedList]:
+def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
     """Parse a run file into per-request rankings.
 
     ``corpus_size`` is attached to every ranking; it is configuration, not
     file content. Rank columns that disagree with the score ordering are
-    reported as a warning because the scores are authoritative.
+    reported as a warning because the scores are authoritative. Non-finite
+    scores and a second system tag are errors, reported with their line.
     """
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
     spath = str(path)
     records: dict[str, list[RunFileRecord]] = {}
     seen: set[tuple[str, str]] = set()
+    system_tag: str | None = None
     for number, line in _read_lines(path):
         fields = line.split()
         if len(fields) != 6:
@@ -73,6 +65,16 @@ def parse_run_file(
             score = float(score_text)
         except ValueError as exc:
             raise ParseError(f"bad rank/score: {exc}", path=spath, line=number) from exc
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_text!r}", path=spath, line=number)
+        if tag != system_tag:
+            if system_tag is not None:
+                raise ParseError(
+                    f"system tag {tag!r} differs from the file's tag {system_tag!r}",
+                    path=spath,
+                    line=number,
+                )
+            system_tag = tag
         key = (request_id, item_id)
         if key in seen:
             raise ParseError(
@@ -82,7 +84,7 @@ def parse_run_file(
             )
         seen.add(key)
         records.setdefault(request_id, []).append(
-            RunFileRecord(request_id, item_id, rank, score, tag)
+            RunFileRecord(item_id, rank, score)
         )
 
     out: dict[str, RankedList] = {}
@@ -92,12 +94,11 @@ def parse_run_file(
         for position, rec in enumerate(recs, start=1):
             if rec.rank != position:
                 rank_mismatches += 1
-        tag = system_tag if system_tag is not None else recs[0].system_tag
         out[request_id] = RankedList(
             request_id=request_id,
             items=tuple(rec.item_id for rec in recs),
             corpus_size=corpus_size,
-            system_tag=tag,
+            system_tag=system_tag,
         )
     if rank_mismatches:
         logger.warning(
@@ -132,25 +133,21 @@ def parse_qrels(
             )
         request_id, _iteration, item_id, grade_text = fields
         try:
-            record = QrelsRecord(request_id, item_id, int(grade_text))
+            grade = int(grade_text)
         except ValueError as exc:
             raise ParseError(f"bad grade: {exc}", path=spath, line=number) from exc
-        per_request = grades.setdefault(record.request_id, {})
-        if record.item_id in per_request:
+        per_request = grades.setdefault(request_id, {})
+        if item_id in per_request:
             duplicates += 1
-        per_request[record.item_id] = record.grade
+        per_request[item_id] = grade
     if duplicates:
         logger.warning("%s: %d duplicate judgments; last grade wins", spath, duplicates)
-    source = (
-        JudgmentSource.BINARY if binarize_threshold <= 1 else JudgmentSource.BINARIZED_FROM_GRADES
-    )
     return {
         request_id: JudgmentSet(
             request_id=request_id,
             relevant_ids=frozenset(
                 item for item, grade in items.items() if grade >= binarize_threshold
             ),
-            source=source,
         )
         for request_id, items in grades.items()
     }
@@ -190,11 +187,7 @@ def parse_ratings_csv(path: str | Path, threshold: float = 4.0) -> dict[str, Jud
             if rating >= threshold:
                 bucket.add(item)
     return {
-        user: JudgmentSet(
-            request_id=user,
-            relevant_ids=frozenset(items),
-            source=JudgmentSource.BINARIZED_FROM_GRADES,
-        )
+        user: JudgmentSet(request_id=user, relevant_ids=frozenset(items))
         for user, items in relevant.items()
     }
 

@@ -11,8 +11,7 @@ cutoff metrics (recall@k, R-precision), search-length metrics (ESL3,
 recall error), total search efficiency, and the exact-arithmetic
 bottom-weighted average live alongside it as standalone formulas.
 
-Everything here is a pure function of immutable inputs; mapping requests
-across threads or processes is the intended batch usage.
+Everything here is a pure function of immutable inputs.
 """
 
 from __future__ import annotations
@@ -251,22 +250,6 @@ class MetricId:
             rest = low.split(":", 1)
             return cls.metric_lexirecall(Fraction(rest[1])) if len(rest) == 2 else cls.metric_lexirecall()
         raise ValidationError(f"unknown metric {text!r}")
-
-
-def recall_level_form(metric: MetricId) -> tuple[ExposureModel, NormalizationModel]:
-    """Exposure and normalization pair for the summation-form metrics."""
-    kind = metric.kind
-    if kind is MetricKind.AP:
-        return ExposureModel.reciprocal(), NormalizationModel.ap()
-    if kind is MetricKind.RR:
-        return ExposureModel.reciprocal(), NormalizationModel.rr()
-    if kind is MetricKind.NDCG:
-        return ExposureModel.log2(), NormalizationModel.ndcg()
-    if kind is MetricKind.RBP:
-        return ExposureModel.geometric(metric.gamma), NormalizationModel.rbp()
-    if kind is MetricKind.TSE:
-        return metric.exposure, NormalizationModel.esl3()
-    raise ValidationError(f"{metric.label} is not a recall-level summation metric")
 
 
 def recall_level_metric(

@@ -4,8 +4,9 @@ Four comparison routes with increasing resolution:
 
 * ``tse_compare`` looks only at the lowest-ranked relevant item;
 * ``lexirecall_compare`` breaks its ties by scanning positions bottom-up;
-* ``leximin_compare`` is the generic bottom-up rule over any sorted
-  utility vectors (used by the robustness oracles);
+* ``leximin_compare`` is the same bottom-up scan over sorted utility
+  vectors, where the larger value wins; lexirecall is its lifting to
+  positions, and the tests use it as that reference;
 * ``metric_compare`` reduces any scalar metric to a preference with an
   explicit tie tolerance.
 """
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import ExposureModel, Preference, RelevantPositions
+from .core import Preference, RelevantPositions
 from .errors import ValidationError
 from .metrics import MetricId, exact_value
 
@@ -45,22 +46,28 @@ class UtilityVector:
         return len(self.values)
 
 
+def _bottom_up(xs: Sequence, ys: Sequence, larger_wins: bool) -> Preference:
+    """Decide at the last index where two equal-length vectors differ.
+
+    ``deciding_level`` is that index, 1-based from the top.
+    """
+    for i in range(len(xs) - 1, -1, -1):
+        a, b = xs[i], ys[i]
+        if a != b:
+            level = i + 1
+            return Preference.first(level) if (a > b) == larger_wins else Preference.second(level)
+    return Preference.tie()
+
+
 def leximin_compare(x: UtilityVector, y: UtilityVector) -> Preference:
     """Compare two sorted vectors from the worst-off element upward.
 
     The first index (scanning from the bottom) where the values differ
-    decides; the larger value wins. ``deciding_level`` is the 1-based index
-    of that element counted from the top.
+    decides; the larger value wins.
     """
     if len(x) != len(y):
         raise ValidationError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    xv, yv = x.values, y.values
-    for i in range(len(xv) - 1, -1, -1):
-        a, b = xv[i], yv[i]
-        if a != b:
-            level = i + 1
-            return Preference.first(level) if a > b else Preference.second(level)
-    return Preference.tie()
+    return _bottom_up(x.values, y.values, larger_wins=True)
 
 
 def _check_same_request(rpx: RelevantPositions, rpy: RelevantPositions) -> None:
@@ -83,28 +90,17 @@ def lexirecall_compare(rpx: RelevantPositions, rpy: RelevantPositions) -> Prefer
     request and judgment set are comparable, hence the m and D checks.
     """
     _check_same_request(rpx, rpy)
-    px, py = rpx.positions, rpy.positions
-    for i in range(len(px) - 1, -1, -1):
-        a, b = px[i], py[i]
-        if a != b:
-            level = i + 1
-            return Preference.first(level) if a < b else Preference.second(level)
-    return Preference.tie()
+    return _bottom_up(rpx.positions, rpy.positions, larger_wins=False)
 
 
-def tse_compare(
-    rpx: RelevantPositions,
-    rpy: RelevantPositions,
-    exposure: ExposureModel | None = None,
-) -> Preference:
+def tse_compare(rpx: RelevantPositions, rpy: RelevantPositions) -> Preference:
     """Worst-case preference: compare the exposure of the deepest relevant item.
 
     Exposure is strictly decreasing, so comparing the bottom positions
-    directly is exact for every exposure model; the model never changes the
-    outcome. Rankings sharing the bottom position tie, which is what makes
-    this preference coarse.
+    directly is exact for every exposure model, which therefore takes no
+    part. Rankings sharing the bottom position tie, which is what makes this
+    preference coarse.
     """
-    del exposure  # order is exposure-model independent; kept for signature parity
     _check_same_request(rpx, rpy)
     a, b = rpx.positions[-1], rpy.positions[-1]
     if a == b:
@@ -141,27 +137,32 @@ def metric_compare(
 PreferenceFn = Callable[[RelevantPositions, RelevantPositions], Preference]
 
 
-def make_method(
-    spec: str | MetricId,
-    tolerance: float = DEFAULT_TOLERANCE,
-    exposure: ExposureModel | None = None,
-    corpus_size: int | None = None,
-) -> tuple[str, PreferenceFn]:
-    """Resolve a comparison-method spec into a labelled preference function.
+def parse_method(spec: str | MetricId, corpus_size: int | None = None) -> str | MetricId:
+    """Read a comparison-method spec: a positional method name or a metric.
 
     Accepts ``"lexirecall"``, ``"tse"``, a :class:`MetricId`, or a string of
     the form ``metric:<name>`` (bare metric names are also accepted).
     """
     if isinstance(spec, MetricId):
-        return spec.label, lambda x, y: metric_compare(spec, x, y, tolerance)
+        return spec
     name = spec.strip()
     low = name.lower()
-    if low == "lexirecall":
-        return "lexirecall", lexirecall_compare
-    if low == "tse":
-        exp = exposure or ExposureModel.reciprocal()
-        return "tse", lambda x, y: tse_compare(x, y, exp)
+    if low in ("lexirecall", "tse"):
+        return low
     if low.startswith("metric:"):
         name = name.split(":", 1)[1]
-    metric = MetricId.parse(name, corpus_size=corpus_size)
-    return metric.label, lambda x, y: metric_compare(metric, x, y, tolerance)
+    return MetricId.parse(name, corpus_size=corpus_size)
+
+
+def make_method(
+    spec: str | MetricId,
+    tolerance: float = DEFAULT_TOLERANCE,
+    corpus_size: int | None = None,
+) -> tuple[str, PreferenceFn]:
+    """Resolve a comparison-method spec into a labelled preference function."""
+    method = parse_method(spec, corpus_size)
+    if method == "lexirecall":
+        return "lexirecall", lexirecall_compare
+    if method == "tse":
+        return "tse", tse_compare
+    return method.label, lambda x, y: metric_compare(method, x, y, tolerance)

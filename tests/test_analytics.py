@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from lexirank import (
-    ExactProbability,
     Imputation,
     JudgmentSet,
     MetricId,
@@ -29,16 +28,24 @@ from lexirank.analytics import stable_seed
 
 
 class TestExactProbability:
+    """Tie probabilities come back as exact, reduced fractions."""
+
     def test_reduction(self):
-        p = ExactProbability(285, 2025)
+        p = tie_probability("tse", 10, 2)
+        assert isinstance(p, Fraction)
         assert (p.numerator, p.denominator) == (19, 135)
-        assert p.float_view == pytest.approx(285 / 2025)
+        assert float(p) == pytest.approx(285 / 2025)
 
     def test_bounds_checked(self):
-        with pytest.raises(ValidationError):
-            ExactProbability(3, 2)
-        with pytest.raises(ValidationError):
-            ExactProbability(1, 0)
+        for D in (1, 6, 40):
+            for m in range(1, D + 1):
+                cases = [(name, None) for name in ("tse", "rprecision", "lexirecall")]
+                cases += [("recall@k", k) for k in (1, D // 2 or 1, D)]
+                for name, k in cases:
+                    p = tie_probability(name, D, m, k=k)
+                    assert isinstance(p, Fraction)
+                    assert 0 <= p <= 1, (name, D, m, k, p)
+                    assert math.gcd(p.numerator, p.denominator) == 1
 
 
 def _enumerated_tie_probability(name, D, m, k=None):
@@ -59,32 +66,32 @@ def _enumerated_tie_probability(name, D, m, k=None):
 
 class TestTieProbability:
     def test_reference_fractions(self):
-        assert tie_probability("lexirecall", 10, 2).as_fraction == Fraction(1, 45)
-        assert tie_probability("tse", 10, 2).as_fraction == Fraction(285, 2025)
+        assert tie_probability("lexirecall", 10, 2) == Fraction(1, 45)
+        assert tie_probability("tse", 10, 2) == Fraction(285, 2025)
 
     def test_matches_enumeration_small(self):
         for D in (4, 7, 9):
             for m in range(1, min(3, D) + 1):
                 for name in ("lexirecall", "tse", "rprecision"):
                     expected = _enumerated_tie_probability(name, D, m)
-                    assert tie_probability(name, D, m).as_fraction == expected
+                    assert tie_probability(name, D, m) == expected
                 for k in range(1, D + 1):
                     expected = _enumerated_tie_probability("recall@k", D, m, k)
-                    assert tie_probability("recall@k", D, m, k=k).as_fraction == expected
+                    assert tie_probability("recall@k", D, m, k=k) == expected
 
     def test_accepts_metric_ids(self):
         assert (
-            tie_probability(MetricId.recall_at(5), 12, 3).as_fraction
-            == tie_probability("recall@5", 12, 3).as_fraction
+            tie_probability(MetricId.recall_at(5), 12, 3)
+            == tie_probability("recall@5", 12, 3)
         )
         assert (
-            tie_probability(MetricId.tse(), 12, 3).as_fraction
-            == tie_probability("tse", 12, 3).as_fraction
+            tie_probability(MetricId.tse(), 12, 3)
+            == tie_probability("tse", 12, 3)
         )
 
     def test_cutoff_tie_rate_falls_with_more_relevant(self):
         probs = [
-            tie_probability("recall@k", 10**6, m, k=1000).float_view
+            float(tie_probability("recall@k", 10**6, m, k=1000))
             for m in (1, 5, 10, 25, 50)
         ]
         assert all(a > b for a, b in zip(probs, probs[1:]))
@@ -146,7 +153,7 @@ class TestSimulatePairs:
     def test_empirical_tie_rate_matches_exact_form(self):
         # Large-sample check of the positional-identity tie probability.
         D, m, pairs = 100, 3, 1_000_000
-        exact = tie_probability("lexirecall", D, m).float_view
+        exact = float(tie_probability("lexirecall", D, m))
         config = SimulationConfig(corpus_size=D, m_range=(m, m), pair_count=pairs, seed=11)
         ties = sum(1 for x, y, _m in simulate_pairs(config) if x.positions == y.positions)
         sigma = math.sqrt(pairs * exact * (1 - exact))

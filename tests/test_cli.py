@@ -155,6 +155,25 @@ class TestCompare:
         assert code == 1
         assert "per-request scores" in capsys.readouterr().err
 
+    def test_tse_hsd_pairs_sign_test_with_tse_scores(self, tmp_path, capsys):
+        def table(*method):
+            out = tmp_path / "cmp.tsv"
+            assert run_cli(["compare", *data_args(out), "--method", *method]) == 0
+            header, *rows = (line.split("\t") for line in out.read_text().splitlines())
+            return [dict(zip(header, row)) for row in rows]
+
+        tse_hsd = table("tse", "--hsd")
+        plain = table("tse")
+        scored = table("metric:TSE", "--hsd")
+        assert [row["method"] for row in tse_hsd] == ["tse"] * 3
+        # p_value is the sign test of the tse preference, as without --hsd ...
+        assert [{k: v for k, v in row.items() if k != "p_hsd"} for row in tse_hsd] == plain
+        # ... and p_hsd is Tukey HSD over per-request TSE scores.
+        assert [row["p_hsd"] for row in tse_hsd] == [row["p_hsd"] for row in scored]
+        out = tmp_path / "x.tsv"
+        assert run_cli(["compare", *data_args(out), "--method", "lexirecall", "--hsd"]) == 1
+        assert "per-request scores" in capsys.readouterr().err
+
     def test_hsd_with_metric_method(self, tmp_path):
         out = tmp_path / "cmp.tsv"
         code = run_cli(["compare", *data_args(out), "--method", "metric:AP", "--hsd"])
@@ -240,13 +259,16 @@ class TestDeterminismAndErrors:
         assert run_cli(argv + ["--out", out2]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_worker_count_does_not_change_output(self, tmp_path, monkeypatch):
-        out1 = tmp_path / "one.tsv"
-        out2 = tmp_path / "many.tsv"
-        monkeypatch.setenv("LEXIRANK_THREADS", "1")
-        assert run_cli(["eval", *data_args(out1), "--metric", "AP"]) == 0
-        monkeypatch.setenv("LEXIRANK_THREADS", "4")
-        assert run_cli(["eval", *data_args(out2), "--metric", "AP"]) == 0
+    @pytest.mark.parametrize(
+        "command",
+        [["eval"], ["compare", "--method", "metric:AP", "--hsd"]],
+        ids=["eval", "compare"],
+    )
+    def test_run_order_does_not_change_output(self, tmp_path, command):
+        out1 = tmp_path / "forward.tsv"
+        out2 = tmp_path / "reversed.tsv"
+        assert run_cli([*command, *data_args(out1)]) == 0
+        assert run_cli([*command, *data_args(out2, runs=RUNS[::-1])]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
     def test_missing_file_fails_without_traceback(self, tmp_path, capsys):

@@ -12,8 +12,8 @@ from lexirank import (
     RelevantPositions,
     UnevaluableRequestError,
     ValidationError,
-    exposure_at,
     project_and_impute,
+    project_runs,
 )
 
 from conftest import ranking_with_relevant_at
@@ -34,7 +34,9 @@ class TestProjection:
         )
         assert rp.positions == (2, 4)
         assert rp.retrieved_count == 2
-        assert rp.ids_at_levels == ("d2", "d1")
+        # Inverse projection: the items at the retrieved positions.
+        items = ["d5", "d2", "d9", "d1"]
+        assert [items[p - 1] for p in rp.positions[: rp.retrieved_count]] == ["d2", "d1"]
 
     def test_partial_retrieval_bottom_imputation(self):
         # 3 of 6 relevant in a top-10 prefix at ranks 2, 3, 8.
@@ -126,6 +128,43 @@ class TestProjection:
             )
 
 
+
+class TestProjectRuns:
+    def runs(self, D=20):
+        return {
+            "a": {"q1": make_ranking(["d1", "x", "d2"], D)},
+            "b": {
+                "q1": make_ranking(["x", "d2"], D),
+                "q2": make_ranking(["d3"], D, request_id="q2"),
+            },
+        }
+
+    def test_matches_per_cell_projection(self):
+        judgments = {"q1": make_judgments({"d1", "d2", "d9"})}
+        for mode in (Imputation.PESSIMISTIC, Imputation.OPTIMISTIC):
+            projected, missing = project_runs(self.runs(), judgments, ["q1"], mode)
+            assert missing == 0
+            for tag, run in self.runs().items():
+                assert projected["q1"][tag] == project_and_impute(run["q1"], judgments["q1"], mode)
+
+    def test_missing_ranking_is_worst_case_and_counted(self):
+        judgments = {
+            "q1": make_judgments({"d1"}),
+            "q2": make_judgments({"d3", "d4"}, request_id="q2"),
+        }
+        projected, missing = project_runs(self.runs(), judgments, ["q1", "q2"])
+        assert missing == 1
+        assert projected["q2"]["a"] == RelevantPositions.worst_case(2, 20)
+        assert projected["q2"]["b"].positions == (1, 20)
+        assert list(projected) == ["q1", "q2"]
+
+    def test_corpus_sizes_must_agree(self):
+        runs = self.runs()
+        runs["a"] = {"q1": make_ranking(["d1"], 30)}
+        with pytest.raises(ValidationError):
+            project_runs(runs, {"q1": make_judgments({"d1"})}, ["q1"])
+
+
 class TestDomainTypes:
     def test_duplicate_items_rejected(self):
         with pytest.raises(ValidationError):
@@ -152,6 +191,16 @@ class TestDomainTypes:
         assert rp.positions == (8, 9, 10)
         assert rp.retrieved_count == 0
 
+    def test_worst_case_keeps_retrieved_prefix(self):
+        rp = RelevantPositions.worst_case(4, 10, (2, 5))
+        assert rp.positions == (2, 5, 9, 10)
+        assert rp.retrieved_count == 2
+        assert rp.imputation is Imputation.PESSIMISTIC
+        full = RelevantPositions.worst_case(2, 10, (2, 5))
+        assert full.positions == (2, 5)
+        with pytest.raises(ValidationError):
+            RelevantPositions.worst_case(11, 10)
+
     def test_preference_invariants(self):
         assert Preference.tie().is_tie
         assert Preference.first(2).sign == 1
@@ -162,10 +211,10 @@ class TestDomainTypes:
 
 class TestExposure:
     def test_reference_values(self):
-        assert exposure_at(ExposureModel.reciprocal(), 1) == 1.0
-        assert exposure_at(ExposureModel.geometric(0.8), 1) == pytest.approx(0.2)
-        assert exposure_at(ExposureModel.log2(), 3) == pytest.approx(0.5)
-        assert exposure_at(ExposureModel.linear(10), 10) == 0.0
+        assert ExposureModel.reciprocal().at(1) == 1.0
+        assert ExposureModel.geometric(0.8).at(1) == pytest.approx(0.2)
+        assert ExposureModel.log2().at(3) == pytest.approx(0.5)
+        assert ExposureModel.linear(10).at(10) == 0.0
 
     def test_position_validation(self):
         for model in (ExposureModel.reciprocal(), ExposureModel.log2()):

@@ -57,6 +57,27 @@ class TestParseRunFile:
         with pytest.raises(ParseError):
             parse_run_file(path, corpus_size=10)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_scores_rejected_in_either_line_order(self, tmp_path, bad):
+        # Non-finite scores have no order, so any ranking of these lines would
+        # depend on their order in the file.
+        scores = zip("abcd", [bad, bad, "1.0", bad])
+        lines = [f"q1 Q0 {item} 1 {score} t" for item, score in scores]
+        for order in (lines, lines[::-1]):
+            path = tmp_path / "run.txt"
+            path.write_text("\n".join(order) + "\n")
+            with pytest.raises(ParseError) as err:
+                parse_run_file(path, corpus_size=10)
+            assert (err.value.path, err.value.line) == (str(path), 1)
+
+    def test_mixed_system_tags_rejected(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 d1 1 5.0 tagA\nq2 Q0 d1 1 5.0 tagA\nq2 Q0 d2 2 4.0 tagB\n")
+        with pytest.raises(ParseError) as err:
+            parse_run_file(path, corpus_size=10)
+        assert err.value.line == 3
+        assert "tagB" in str(err.value)
+
     def test_rank_mismatch_warns_but_parses(self, tmp_path, caplog):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 d1 2 9.0 t\nq1 Q0 d2 1 5.0 t\n")

@@ -14,7 +14,6 @@ from lexirank import (
     RelevantPositions,
     ValidationError,
     evaluate,
-    exposure_at,
     is_top_heavy,
     lexirecall_compare,
     lexirecall_weights,
@@ -159,9 +158,9 @@ class TestTotalSearchEfficiency:
     def test_reference_values(self):
         assert tse(rp((2, 3, 8), 30), ExposureModel.reciprocal()) == 0.125
         assert tse(rp((1, 4), 30), ExposureModel.geometric(0.8)) == pytest.approx(0.1024)
-        assert tse(rp((1, 4), 30), ExposureModel.geometric(0.8)) == exposure_at(
-            ExposureModel.geometric(0.8), 4
-        )
+        assert tse(rp((1, 4), 30), ExposureModel.geometric(0.8)) == ExposureModel.geometric(
+            0.8
+        ).at(4)
 
     def test_single_item_collapses_to_rr(self):
         vec = rp((1,), 10)

@@ -170,7 +170,7 @@ class TestTseCompare:
         vectors = [rp(c, D) for c in combinations(range(1, D + 1), m)]
         for x in vectors:
             for y in vectors:
-                coarse = tse_compare(x, y, ExposureModel.reciprocal())
+                coarse = tse_compare(x, y)
                 if not coarse.is_tie:
                     assert lexirecall_compare(x, y).sign == coarse.sign
 
@@ -207,6 +207,26 @@ class TestMetricCompare:
 
 
 class TestMethodResolution:
+    def test_make_method_matches_direct_functions(self, rng):
+        ap = lambda x, y: metric_compare(MetricId.ap(), x, y)  # noqa: E731
+        cases = [
+            ("lexirecall", "lexirecall", lexirecall_compare),
+            ("tse", "tse", tse_compare),
+            (" TSE ", "tse", tse_compare),
+            ("metric:AP", "AP", ap),
+            ("AP", "AP", ap),
+            (MetricId.ap(), "AP", ap),
+        ]
+        pairs = [(random_positions(rng, 30, 4), random_positions(rng, 30, 4)) for _ in range(200)]
+        pairs += [(rp((1, 2, 29, 30), 30), rp((3, 4, 29, 30), 30))]
+        for spec, label, direct in cases:
+            name, fn = make_method(spec)
+            assert name == label, spec
+            for x, y in pairs:
+                assert fn(x, y) == direct(x, y), spec
+        assert make_method("tse")[1] is tse_compare
+        assert make_method("lexirecall")[1] is lexirecall_compare
+
     def test_named_methods(self):
         name, fn = make_method("lexirecall")
         assert name == "lexirecall"
