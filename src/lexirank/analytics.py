@@ -70,13 +70,18 @@ def _tie_metric_name(metric: str | MetricId) -> tuple[str, int | None]:
     raise ValidationError(f"no closed-form tie probability for {metric!r}")
 
 
-def _sum_square_binomials_tail(corpus_size: int, m: int) -> int:
-    # sum over i of C(i-1, m-1)^2, updated incrementally in exact integers.
+def _bottom_tie_numerator(corpus_size: int, m: int) -> int:
+    # sum_i C(i-1, m-1)^2 in its finite closed form
+    #   sum_j C(m-1+j, m-1) C(m-1, j) C(D, m+j),  0 <= j <= min(m-1, D-m),
+    # from C(x, r)^2 = sum_j C(r+j, r) C(r, j) C(x, r+j) and the hockey stick
+    # sum_{x<D} C(x, r+j) = C(D, r+j+1). Both factors advance in exact integers.
     total = 0
-    b = 1  # C(m-1, m-1)
-    for i in range(m, corpus_size + 1):
-        total += b * b
-        b = b * i // (i - m + 1)  # advance to C(i, m-1)
+    coef = 1  # C(m-1+j, m-1) * C(m-1, j)
+    tail = math.comb(corpus_size, m)  # C(D, m+j)
+    for j in range(min(m - 1, corpus_size - m) + 1):
+        total += coef * tail
+        coef = coef * (m + j) * (m - 1 - j) // ((j + 1) * (j + 1))
+        tail = tail * (corpus_size - m - j) // (m + j + 1)
     return total
 
 
@@ -92,7 +97,9 @@ def tie_probability(
     relevant items. Closed forms, all evaluated in exact integer arithmetic
     and returned as a reduced fraction:
 
-    * bottom-position ties: sum_i C(i-1, m-1)^2 / C(D, m)^2
+    * bottom-position ties: sum_i C(i-1, m-1)^2 / C(D, m)^2, summed in the
+      finite form sum_j C(m-1+j, m-1) C(m-1, j) C(D, m+j) over
+      0 <= j <= min(m-1, D-m), so min(m, D-m+1) terms instead of D-m+1
     * recall@k ties: sum_i C(k, i)^2 C(D-k, m-i)^2 / C(D, m)^2
     * R-precision ties: the recall@k form at k = m
     * positional-identity (lexirecall) ties: 1 / C(D, m)
@@ -106,7 +113,7 @@ def tie_probability(
     if name == "lexirecall":
         return Fraction(1, total)
     if name == "tse":
-        num = _sum_square_binomials_tail(corpus_size, m)
+        num = _bottom_tie_numerator(corpus_size, m)
         return Fraction(num, total * total)
     if name == "rprecision":
         k = m

@@ -14,6 +14,8 @@ import csv
 import json
 import logging
 import math
+import os
+import stat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
@@ -200,31 +202,62 @@ def _format_cell(value: object) -> str:
     return str(value)
 
 
+def _write_rows(
+    rows: Iterable[Mapping[str, object]], columns: Sequence[str], fh: IO[str], fmt: str
+) -> None:
+    materialized = [dict(row) for row in rows]
+    for row in materialized:
+        missing = [c for c in columns if c not in row]
+        if missing:
+            raise ValidationError(f"row is missing columns {missing}")
+    if fmt == "tsv":
+        fh.write("\t".join(columns) + "\n")
+        for row in materialized:
+            fh.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
+    else:
+        payload = [{c: row[c] for c in columns} for row in materialized]
+        json.dump(payload, fh, indent=2, sort_keys=False)
+        fh.write("\n")
+
+
 def write_table(
     rows: Iterable[Mapping[str, object]],
     columns: Sequence[str],
     destination: str | Path | IO[str],
     fmt: str = "tsv",
 ) -> None:
-    """Write rows as TSV (floats at 6 significant digits) or lossless JSON."""
+    """Write rows as TSV (floats at 6 significant digits) or lossless JSON.
+
+    A path is replaced atomically: the table is written to a temporary file
+    in the same directory and renamed over the path only once complete, so a
+    failed write leaves an existing file as it was. Streams, and paths that
+    exist but are not regular files (``/dev/stdout``, a pipe), are written
+    directly.
+    """
     if fmt not in ("tsv", "json"):
         raise ValidationError(f"unknown format {fmt!r}; use tsv or json")
-    own = isinstance(destination, (str, Path))
-    fh: IO[str] = open(destination, "w", encoding="utf-8") if own else destination
+    if not isinstance(destination, (str, Path)):
+        _write_rows(rows, columns, destination, fmt)
+        return
+    target = os.path.realpath(destination)
+    existing = os.stat(target) if os.path.exists(target) else None
+    if existing is not None and not stat.S_ISREG(existing.st_mode):
+        with open(target, "w", encoding="utf-8") as fh:
+            _write_rows(rows, columns, fh, fmt)
+        return
+    head, tail = os.path.split(target)
+    temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
+    # Created like open(path, "w") would create it: mode 0o666 less the umask.
     try:
-        materialized = [dict(row) for row in rows]
-        for row in materialized:
-            missing = [c for c in columns if c not in row]
-            if missing:
-                raise ValidationError(f"row is missing columns {missing}")
-        if fmt == "tsv":
-            fh.write("\t".join(columns) + "\n")
-            for row in materialized:
-                fh.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
-        else:
-            payload = [{c: row[c] for c in columns} for row in materialized]
-            json.dump(payload, fh, indent=2, sort_keys=False)
-            fh.write("\n")
-    finally:
-        if own:
-            fh.close()
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # name the destination, not the temporary file
+        raise type(exc)(exc.errno, exc.strerror, str(destination)) from None
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            _write_rows(rows, columns, fh, fmt)
+        if existing is not None:
+            os.chmod(temp, stat.S_IMODE(existing.st_mode))
+        os.replace(temp, target)
+    except BaseException:
+        os.unlink(temp)
+        raise

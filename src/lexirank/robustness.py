@@ -6,8 +6,11 @@ wants) and the same family of possible providers. These enumerators score a
 ranking for every member of those populations so that the cheap worst-case
 shortcuts used elsewhere can be checked against an exhaustive minimum.
 
-Enumeration caps keep the oracles usable in test suites: the subset
-population is capped at m = 20 and the optimal-ranking analysis at m = 8.
+The worst-case minima enumerate every subset, vectorised: all 2^m - 1
+subsets are bitmasks scored together in numpy, with each subset's sum formed
+in the same order as a scalar loop, so values and witnesses are exact.
+Enumeration caps are unchanged: the subset population is capped at m = 20
+and the optimal-ranking analysis at m = 8.
 All functions are pure and deterministic, so results never depend on any
 parallel schedule a caller might choose.
 """
@@ -15,8 +18,11 @@ parallel schedule a caller might choose.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
+
+import numpy as np
 
 from .core import ExposureModel, RelevantPositions
 from .errors import EnumerationBudgetError, ValidationError
@@ -106,42 +112,74 @@ class WorstCase(NamedTuple):
     witness: UserSubset
 
 
-def _weight_rows(normalization: NormalizationModel, m: int) -> list[tuple[float, ...]]:
-    # rows[n] holds N(1..n, n); row 0 is a placeholder.
-    return [()] + [
-        tuple(normalization.weight(i, n) for i in range(1, n + 1)) for n in range(1, m + 1)
-    ]
+def _weight_table(normalization: NormalizationModel | None, m: int) -> np.ndarray:
+    # Flat (m+1) x (m+1) table: entry n*(m+1) + r holds N(r+1, n), the weight
+    # of the (r+1)-th member of a size-n subset; column m (non-members) is 0.
+    # ``None`` means plain summation (the provider population).
+    table = np.zeros((m + 1, m + 1))
+    for n in range(1, m + 1):
+        for r in range(n):
+            table[n, r] = 1.0 if normalization is None else normalization.weight(r + 1, n)
+    return table.ravel()
+
+
+@lru_cache(maxsize=1)
+def _subset_layout(m: int) -> np.ndarray:
+    """Weight-table index of every item in every non-empty subset of range(m).
+
+    Row i, column k describes item i in the subset with bitmask k + 1:
+    ``size * (m+1) + rank`` for a member (rank counted from 0 in increasing
+    item order), and ``size * (m+1) + m`` for a non-member.
+    """
+    masks = np.arange(1, 1 << m, dtype=np.int32)
+    sizes = np.zeros(masks.size, dtype=np.int32)
+    for i in range(m):
+        sizes += masks >> i & 1
+    offsets = sizes * (m + 1)
+    layout = np.empty((m, masks.size), dtype=np.int16)
+    rank = np.zeros(masks.size, dtype=np.int32)
+    for i in range(m):
+        member = (masks >> i & 1).astype(bool)
+        layout[i] = offsets + np.where(member, rank, m)
+        rank += member
+    layout.flags.writeable = False
+    return layout
+
+
+def _lexicographic_min(masks: np.ndarray) -> int:
+    # Among subset bitmasks, the one whose sorted index tuple is smallest:
+    # fix the smallest next index shared by the survivors, and stop as soon
+    # as a survivor is exactly the fixed prefix (a prefix sorts first).
+    prefix = 0
+    while True:
+        rest = masks ^ prefix
+        low = rest & -rest
+        step = low.min()
+        prefix |= int(step)
+        masks = masks[low == step]
+        if (masks == prefix).any():
+            return prefix
 
 
 def _min_over_subsets(
-    gains: list[float], weight_rows: list[tuple[float, ...]] | None
+    gains: list[float], normalization: NormalizationModel | None
 ) -> tuple[float, tuple[int, ...]]:
     """Exhaustive minimum over all non-empty index subsets.
 
-    Ties at the minimum resolve to the lexicographically smallest witness.
-    ``weight_rows=None`` means plain summation (the provider population).
+    Each subset's total accumulates ``gains[idx] * N(rank, size)`` in
+    increasing index order, as a scalar loop over the subset would, so the
+    values are exactly that loop's. Ties at the minimum resolve to the
+    lexicographically smallest witness. ``normalization=None`` means plain
+    summation (the provider population).
     """
     m = len(gains)
-    best_value: float | None = None
-    best_combo: tuple[int, ...] = ()
-    for size in range(1, m + 1):
-        row = weight_rows[size] if weight_rows is not None else None
-        for combo in combinations(range(m), size):
-            total = 0.0
-            if row is None:
-                for idx in combo:
-                    total += gains[idx]
-            else:
-                for i, idx in enumerate(combo):
-                    total += gains[idx] * row[i]
-            if (
-                best_value is None
-                or total < best_value
-                or (total == best_value and combo < best_combo)
-            ):
-                best_value = total
-                best_combo = combo
-    return best_value, best_combo
+    table = _weight_table(normalization, m)
+    totals = np.zeros((1 << m) - 1)
+    for gain, row in zip(gains, _subset_layout(m)):
+        totals += gain * table[row]
+    value = totals.min()
+    mask = _lexicographic_min(np.flatnonzero(totals == value) + 1)
+    return float(value), tuple(i for i in range(m) if mask >> i & 1)
 
 
 def _require_population_budget(m: int) -> None:
@@ -163,7 +201,7 @@ def worst_case_user(
     m = rp.m
     _require_population_budget(m)
     gains = [exposure.at(p) for p in rp.positions]
-    value, combo = _min_over_subsets(gains, _weight_rows(normalization, m))
+    value, combo = _min_over_subsets(gains, normalization)
     return WorstCase(value, UserSubset(tuple(i + 1 for i in combo)))
 
 
@@ -209,10 +247,9 @@ def optimal_ranker_worst_case(
     deterministic = worst_case_user(ideal, exposure, normalization).value
 
     gains = [exposure.at(p) for p in range(1, m + 1)]
-    weight_rows = _weight_rows(normalization, m)
     stochastic = None
     for size in range(1, m + 1):
-        row = weight_rows[size]
+        row = [normalization.weight(i, size) for i in range(1, size + 1)]
         total = 0.0
         count = 0
         for placement in combinations(range(m), size):

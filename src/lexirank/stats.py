@@ -9,6 +9,9 @@ The t CDF is computed through the regularized incomplete beta function and
 the studentized-range CDF by direct double integration (outer integral over
 the chi-distributed scale, inner over the range of standard normals), both
 implemented here; scipy supplies only the vectorized normal CDF primitive.
+scipy is imported on the first studentized-range evaluation (the first HSD
+call), so importing this module, and every command without ``--hsd``,
+never loads it.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import UndefinedResultError, ValidationError
 
@@ -213,17 +216,23 @@ def _gauss_legendre(lo: float, hi: float, panels: int, order: int = 16) -> tuple
     return nodes, weights
 
 
-_Z_NODES, _Z_WEIGHTS = _gauss_legendre(-8.5, 8.5, 24)
-_Z_PHI = np.exp(-0.5 * _Z_NODES**2) / math.sqrt(2.0 * math.pi)
-_Z_CDF = ndtr(_Z_NODES)
+@cache
+def _z_grid():
+    """The normal CDF and the fixed inner-integral grid, built on first use."""
+    from scipy.special import ndtr
+
+    nodes, weights = _gauss_legendre(-8.5, 8.5, 24)
+    phi = np.exp(-0.5 * nodes**2) / math.sqrt(2.0 * math.pi)
+    return ndtr, nodes, weights, phi, ndtr(nodes)
 
 
 def _normal_range_cdf(x: np.ndarray, groups: int) -> np.ndarray:
     """P(range of `groups` iid standard normals <= x), vectorized over x."""
+    ndtr, z_nodes, z_weights, z_phi, z_cdf = _z_grid()
     x = np.asarray(x, dtype=float)[:, None]
-    inner = _Z_CDF[None, :] - ndtr(_Z_NODES[None, :] - x)
+    inner = z_cdf[None, :] - ndtr(z_nodes[None, :] - x)
     np.clip(inner, 0.0, None, out=inner)
-    vals = groups * np.sum(_Z_WEIGHTS * _Z_PHI * inner ** (groups - 1), axis=1)
+    vals = groups * np.sum(z_weights * z_phi * inner ** (groups - 1), axis=1)
     return np.clip(vals, 0.0, 1.0)
 
 

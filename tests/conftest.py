@@ -7,10 +7,26 @@ counting, so that library values are checked against a second route.
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lexirank
 from lexirank import RelevantPositions
+
+
+def subprocess_env() -> dict[str, str]:
+    """Environment for a child ``python`` that imports this same lexirank.
+
+    ``PYTHONPATH`` starts with the directory holding the imported package,
+    so ``python -m lexirank`` works under a bare ``pytest`` from a checkout.
+    """
+    env = dict(os.environ)
+    root = str(Path(lexirank.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def ranking_with_relevant_at(positions: tuple[int, ...], corpus_size: int):

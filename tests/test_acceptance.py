@@ -38,6 +38,7 @@ from lexirank import (
     worst_case_user,
 )
 
+from conftest import subprocess_env
 from rank_scenarios import contiguous_lift_case, retrieval_growth_case, swap_up_case
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -297,7 +298,7 @@ def _run_cli(args, out_path):
         "--out",
         str(out_path),
     ]
-    proc = subprocess.run(command, capture_output=True, text=True)
+    proc = subprocess.run(command, capture_output=True, text=True, env=subprocess_env())
     assert proc.returncode == 0, proc.stderr
     return out_path.read_bytes()
 

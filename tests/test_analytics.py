@@ -64,7 +64,24 @@ def _enumerated_tie_probability(name, D, m, k=None):
     return Fraction(sum(c * c for c in counts.values()), total * total)
 
 
+def _bottom_tie_numerator_by_recurrence(D, m):
+    """Reference: sum over i of C(i-1, m-1)^2 in D-m+1 exact integer steps."""
+    total = 0
+    b = 1  # C(m-1, m-1)
+    for i in range(m, D + 1):
+        total += b * b
+        b = b * i // (i - m + 1)  # advance to C(i, m-1)
+    return total
+
+
 class TestTieProbability:
+    def test_bottom_closed_form_matches_recurrence(self):
+        cases = [(D, m) for D in range(1, 61) for m in range(1, D + 1)]
+        cases += [(10**4, m) for m in (1, 2, 137, 5000, 9999, 10**4)]
+        for D, m in cases:
+            expected = Fraction(_bottom_tie_numerator_by_recurrence(D, m), math.comb(D, m) ** 2)
+            assert tie_probability("tse", D, m) == expected, (D, m)
+
     def test_reference_fractions(self):
         assert tie_probability("lexirecall", 10, 2) == Fraction(1, 45)
         assert tie_probability("tse", 10, 2) == Fraction(285, 2025)

@@ -1,8 +1,11 @@
 """CLI behaviour: wiring, warnings, determinism, and error paths."""
 
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexirank.cli import main
 
@@ -279,8 +282,44 @@ class TestDeterminismAndErrors:
         )
         assert code == 1
 
+    def test_missing_output_directory_names_the_destination(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "x.tsv"
+        assert run_cli(["eval", *data_args(out)]) == 1
+        err = capsys.readouterr().err
+        assert str(out) in err and ".tmp" not in err
+
     def test_unknown_metric_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"
         code = run_cli(["eval", *data_args(out), "--metric", "made-up"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+
+def _outputs(runs, qrels, directory):
+    """Bytes written by ``eval`` and ``compare --method lexirecall``."""
+    data = []
+    for run in runs:
+        data += ["--runs", run]
+    data += ["--qrels", qrels, "--corpus-size", "50"]
+    outputs = []
+    for name, command in (("eval", ["eval"]), ("compare", ["compare", "--method", "lexirecall"])):
+        out = Path(directory) / f"{name}.tsv"
+        assert run_cli([*command, *data, "--out", out]) == 0
+        outputs.append(out.read_bytes())
+    return outputs
+
+
+class TestLineOrderIndependence:
+    @settings(max_examples=8, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_shuffled_input_lines_give_identical_output(self, random):
+        with tempfile.TemporaryDirectory() as work:
+            expected = _outputs(RUNS, QRELS, work)
+            shuffled = []
+            for source in [*RUNS, QRELS]:
+                lines = Path(source).read_text().splitlines()
+                random.shuffle(lines)
+                target = Path(work) / Path(source).name
+                target.write_text("\n".join(lines) + "\n")
+                shuffled.append(str(target))
+            assert _outputs(shuffled[:-1], shuffled[-1], work) == expected

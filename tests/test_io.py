@@ -1,5 +1,6 @@
 """Parsers, writers, and the end-to-end projection of a parsed collection."""
 
+import io
 import json
 import logging
 from pathlib import Path
@@ -187,6 +188,28 @@ class TestWriteTable:
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValidationError):
             write_table([], ["a"], tmp_path / "out.x", fmt="xml")
+
+    def test_failed_write_leaves_existing_file_untouched(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_bytes(b"a\tb\n1\t2\n")
+        with pytest.raises(ValidationError):
+            write_table([{"a": 1, "b": 2}, {"a": 3}], ["a", "b"], path)
+        assert path.read_bytes() == b"a\tb\n1\t2\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+    def test_replacing_keeps_the_file_mode(self, tmp_path):
+        path = tmp_path / "out.tsv"
+        path.write_text("old\n")
+        path.chmod(0o640)
+        write_table([{"a": 1}], ["a"], path)
+        assert path.read_text() == "a\n1\n"
+        assert path.stat().st_mode & 0o777 == 0o640
+        assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+    def test_stream_destination_written_directly(self):
+        buffer = io.StringIO()
+        write_table([{"a": 1}], ["a"], buffer)
+        assert buffer.getvalue() == "a\n1\n"
 
 
 class TestEndToEndProjection:

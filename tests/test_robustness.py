@@ -1,6 +1,6 @@
 """Population oracles: enumeration counts, worst-case equalities, optimal rankers."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -150,6 +150,69 @@ class TestWorstCase:
             assert len(set(values)) <= 31
             _, witness = worst_case_user(vec, RECIPROCAL, AP)
             assert witness.levels == (5,)
+
+
+def _min_by_combinations(gains, normalization):
+    """Reference: scalar loop over itertools.combinations, smallest tuple on ties."""
+    best_value, best_combo = None, ()
+    for size in range(1, len(gains) + 1):
+        for combo in combinations(range(len(gains)), size):
+            total = 0.0
+            for i, idx in enumerate(combo, start=1):
+                weight = 1.0 if normalization is None else normalization.weight(i, size)
+                total += gains[idx] * weight
+            if best_value is None or (total, combo) < (best_value, best_combo):
+                best_value, best_combo = total, combo
+    return best_value, tuple(idx + 1 for idx in best_combo)
+
+
+NORMALIZATIONS = [
+    NormalizationModel.ap(),
+    NormalizationModel.ndcg(),
+    NormalizationModel.rr(),
+    NormalizationModel.rbp(),
+    NormalizationModel.esl3(),
+    NormalizationModel.uniform(),
+]
+
+
+def _assert_matches_reference(vec, exposure):
+    gains = [exposure.at(p) for p in vec.positions]
+    for normalization in NORMALIZATIONS:
+        value, witness = worst_case_user(vec, exposure, normalization)
+        assert (value, witness.levels) == _min_by_combinations(gains, normalization)
+        assert type(value) is float
+    value, witness = worst_case_provider(vec, exposure)
+    assert (value, witness.levels) == _min_by_combinations(gains, None)
+
+
+class TestVectorisedEnumeration:
+    """The numpy subset enumeration equals the scalar combinations loop exactly."""
+
+    @pytest.mark.parametrize("m", range(1, 11))
+    def test_matches_combinations_reference(self, rng, m):
+        for D in (m + 2, 60, 10**6):
+            vec = random_positions(rng, D, m)
+            for exposure in (
+                ExposureModel.reciprocal(),
+                ExposureModel.log2(),
+                ExposureModel.geometric(0.8),
+                ExposureModel.linear(D),
+            ):
+                _assert_matches_reference(vec, exposure)
+
+    def test_forced_tie_at_zero_takes_smallest_witness(self):
+        # Geometric exposure underflows to 0.0 beyond about position 3340,
+        # so every subset of the deep items ties at zero.
+        geometric = ExposureModel.geometric(0.8)
+        vec = rp((1, 3400, 3500, 5000, 6000, 7000), 10**4)
+        assert [geometric.at(p) for p in vec.positions][1:] == [0.0] * 5
+        _assert_matches_reference(vec, geometric)
+        assert worst_case_provider(vec, geometric) == (0.0, UserSubset((2,)))
+        # Weight only on the last member: (1, 2) ends on a zero item and sorts
+        # before (2,), so the witness needs more than its first index.
+        esl3 = NormalizationModel.esl3()
+        assert worst_case_user(vec, geometric, esl3) == (0.0, UserSubset((1, 2)))
 
 
 def _stochastic_by_full_enumeration(exposure, normalization, m):

@@ -1,6 +1,8 @@
 """Significance machinery against scipy references, published tables, and fixtures."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -20,7 +22,10 @@ from lexirank import (
     studentized_range_critical,
     tukey_hsd,
 )
+from lexirank import stats
 from lexirank.stats import regularized_incomplete_beta, t_two_sided_p
+
+from conftest import subprocess_env
 
 
 class TestPairedT:
@@ -212,6 +217,56 @@ class TestTukey:
             tukey_hsd(self._matrix([[0.1, 0.2]]))
         with pytest.raises(ValidationError):
             ScoreMatrix(("a",), ("q1", "q2"), np.zeros((2, 2)))
+
+
+_SCIPY_LOADED = "sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')"
+
+
+class TestLazyScipy:
+    """scipy is loaded by the first HSD call, never by import."""
+
+    def _child(self, code):
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.strip()
+
+    def test_import_does_not_load_scipy(self):
+        code = f"import sys, lexirank, lexirank.cli; print({_SCIPY_LOADED})"
+        assert self._child(code) == "[]"
+
+    def test_first_hsd_call_loads_scipy(self):
+        code = (
+            "import sys, numpy as np\n"
+            "from lexirank import ScoreMatrix, tukey_hsd\n"
+            f"before = {_SCIPY_LOADED}\n"
+            "values = np.arange(12.0).reshape(3, 4) % 5\n"
+            "tukey_hsd(ScoreMatrix(('a', 'b', 'c'), ('q1', 'q2', 'q3', 'q4'), values))\n"
+            "print(before, 'scipy.special' in sys.modules)"
+        )
+        assert self._child(code) == "[] True"
+
+    def test_tukey_after_lazy_import_matches_scipy(self, rng):
+        stats._z_grid.cache_clear()
+        n_runs, n_requests = 5, 12
+        values = rng.uniform(size=(n_runs, n_requests))
+        grid = tukey_hsd(
+            ScoreMatrix(
+                tuple(f"r{i}" for i in range(n_runs)),
+                tuple(f"q{i}" for i in range(n_requests)),
+                values,
+            )
+        )
+        run_means = values.mean(axis=1)
+        resid = values - run_means[:, None] - values.mean(axis=0)[None, :] + values.mean()
+        df = (n_runs - 1) * (n_requests - 1)
+        se = math.sqrt(float((resid**2).sum()) / df / n_requests)
+        for i in range(n_runs):
+            for j in range(i + 1, n_runs):
+                q = abs(run_means[i] - run_means[j]) / se
+                expected = float(scipy.stats.studentized_range.sf(q, n_runs, df))
+                assert grid[i, j] == pytest.approx(expected, abs=1e-6)
 
 
 def _ladder_tallies(n_runs=5, n_requests=60):
