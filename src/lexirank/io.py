@@ -117,10 +117,12 @@ def parse_qrels(
     """Parse qrels; items with grade >= threshold count as relevant.
 
     The default threshold of 1 matches conventional binary qrels; graded
-    rating exports typically use 4. Duplicate (request, item) lines keep
-    the last grade with a warning. Requests where nothing clears the
-    threshold yield an empty, unevaluable judgment set so that callers can
-    count and skip them.
+    rating exports typically use 4. A repeated (request, item) line with
+    the same grade is dropped with a warning; one with a different grade
+    raises ``ParseError`` at the repeated line, since keeping either grade
+    would make the judgments depend on line order. Requests where nothing
+    clears the threshold yield an empty, unevaluable judgment set so that
+    callers can count and skip them.
     """
     spath = str(path)
     grades: dict[str, dict[str, int]] = {}
@@ -139,11 +141,20 @@ def parse_qrels(
         except ValueError as exc:
             raise ParseError(f"bad grade: {exc}", path=spath, line=number) from exc
         per_request = grades.setdefault(request_id, {})
-        if item_id in per_request:
+        previous = per_request.get(item_id)
+        if previous is None:
+            per_request[item_id] = grade
+        elif previous == grade:
             duplicates += 1
-        per_request[item_id] = grade
+        else:
+            raise ParseError(
+                f"item {item_id!r} of request {request_id!r} graded {previous} "
+                f"earlier and {grade} here",
+                path=spath,
+                line=number,
+            )
     if duplicates:
-        logger.warning("%s: %d duplicate judgments; last grade wins", spath, duplicates)
+        logger.warning("%s: %d duplicate judgments with equal grades ignored", spath, duplicates)
     return {
         request_id: JudgmentSet(
             request_id=request_id,

@@ -115,13 +115,25 @@ class TestParseQrels:
         judgments = parse_qrels(path, binarize_threshold=4)
         assert judgments["q1"].relevant_ids == frozenset({"d1", "d3"})
 
-    def test_duplicates_last_wins_with_warning(self, tmp_path, caplog):
+    @pytest.mark.parametrize("first,last", [("1", "0"), ("0", "1"), ("2", "1")])
+    def test_conflicting_duplicate_rejected_in_either_line_order(self, tmp_path, first, last):
+        # Keeping either grade would make the judgments depend on line order.
+        lines = [f"q1 0 d02 {first}", "q1 0 d03 1", f"q1 0 d02 {last}"]
+        for order in (lines, [lines[2], lines[1], lines[0]]):
+            path = tmp_path / "qrels.txt"
+            path.write_text("\n".join(order) + "\n")
+            with pytest.raises(ParseError) as err:
+                parse_qrels(path)
+            assert (err.value.path, err.value.line) == (str(path), 3)
+            assert "d02" in str(err.value)
+
+    def test_identical_duplicates_kept_with_warning(self, tmp_path, caplog):
         path = tmp_path / "qrels.txt"
-        path.write_text("q1 0 d1 0\nq1 0 d1 1\n")
+        path.write_text("q1 0 d1 1\nq1 0 d2 0\nq1 0 d1 1\nq1 0 d2 0\n")
         with caplog.at_level(logging.WARNING):
             judgments = parse_qrels(path)
         assert judgments["q1"].relevant_ids == frozenset({"d1"})
-        assert any("duplicate" in r.message for r in caplog.records)
+        assert any("2 duplicate" in r.message for r in caplog.records)
 
     def test_malformed_line_number(self, tmp_path):
         path = tmp_path / "qrels.txt"

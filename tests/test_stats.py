@@ -154,6 +154,34 @@ class TestStudentizedRange:
             expected = float(scipy.stats.studentized_range.cdf(q, groups, df))
             assert studentized_range_cdf(q, groups, df) == pytest.approx(expected, abs=1e-6)
 
+    # groups x df, crossing the df = 27 switch of the scale grid, at a central
+    # and an upper-tail q; then far tails at small df, where the scale grid
+    # must resolve the rise of the normal range CDF near s = 0, and the
+    # sharpest inner integrand found by a dense sweep (50 groups, df 20000).
+    _SWEEP = [
+        (q, groups, df)
+        for groups in (2, 5, 12, 50)
+        for df in (1, 2, 3, 26, 27, 693, 20000)
+        for q in (1.5, 4.5)
+    ] + [(90.0, 2, 1), (60.0, 12, 1), (100.0, 50, 2), (30.0, 5, 3), (2.86, 50, 20000)]
+
+    def test_sf_sweep_against_reference(self):
+        errors = [
+            abs(
+                (1.0 - studentized_range_cdf(q, groups, df))
+                - float(scipy.stats.studentized_range.sf(q, groups, df))
+            )
+            for q, groups, df in self._SWEEP
+        ]
+        worst = int(np.argmax(errors))
+        assert errors[worst] <= 1e-9, (self._SWEEP[worst], errors[worst])
+
+    @pytest.mark.parametrize("groups,df", [(2, 1), (5, 26), (12, 693)])
+    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    def test_critical_against_reference(self, alpha, groups, df):
+        expected = float(scipy.stats.studentized_range.ppf(1.0 - alpha, groups, df))
+        assert studentized_range_critical(alpha, groups, df) == pytest.approx(expected, abs=1e-5)
+
     def test_cdf_edges(self):
         assert studentized_range_cdf(0.0, 3, 10) == 0.0
         assert studentized_range_cdf(50.0, 3, 10) == pytest.approx(1.0, abs=1e-9)
@@ -211,6 +239,20 @@ class TestTukey:
         base = np.array([0.1, 0.4, 0.7])
         grid = tukey_hsd(self._matrix([base, base + 0.2]))
         assert grid[0, 1] == 0.0
+
+    def test_degenerate_offsets_inexact_in_binary(self):
+        # Offsets such as 0.1 leave squared residuals summing to ~1e-32, and
+        # equal means reached by different sums can differ in the last bit;
+        # both are rounding, so the grid is the exact 0/1 degenerate one.
+        base = np.array([0.1, 0.4, 0.7])
+        grid = tukey_hsd(self._matrix([base, base + 0.1, base + 0.1]))
+        assert grid[0, 1] == grid[0, 2] == 0.0
+        assert grid[1, 2] == 1.0
+        first, second = base + 0.7, (base + 0.4) + 0.3
+        assert first.mean() != second.mean()
+        grid = tukey_hsd(self._matrix([first, second, base]))
+        assert grid[0, 1] == 1.0
+        assert grid[0, 2] == grid[1, 2] == 0.0
 
     def test_shape_validation(self):
         with pytest.raises(ValidationError):
