@@ -1,16 +1,20 @@
 """File parsers and tabular writers.
 
 Run files are the usual six-column whitespace format
-``request Q0 item rank score tag``; qrels are ``request iter item grade``;
-rating files are ``user,item,rating`` CSVs. Within a request, the ranking
-order is score-descending with item-id ascending as the tiebreak; the rank
-column is validated but never trusted. Scores must be finite, and every line
-of a run file must carry the same system tag.
+``request Q0 item rank score tag``; qrels are ``request iter item grade``.
+Within a request, the ranking order is score-descending with item-id
+ascending as the tiebreak; the rank column is validated but never trusted.
+Scores must be finite, and every line of a run file must carry the same
+system tag.
+
+Run files are parsed in bulk: blocks of lines are split at once and their
+columns converted and ordered in numpy. Any line the bulk path cannot vouch
+for sends the whole file to the plain line loop, which raises the error with
+its file and line. Both paths give the same rankings, warnings and errors.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import math
@@ -19,10 +23,22 @@ import stat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, NamedTuple, Sequence
 
+import numpy as np
+
 from .core import JudgmentSet, RankedList
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
+
+# Characters per block of the bulk run-file reader. A whole-file read would
+# keep the token arenas pinned by the item strings that outlive the split.
+_BLOCK_CHARS = 1 << 16
+
+# The ASCII characters str.split() splits on: \t \n \v \f \r, the
+# separators \x1c-\x1f and the space.
+_ASCII_WHITESPACE = np.zeros(256, dtype=bool)
+_ASCII_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
+_ASCII_WHITESPACE.setflags(write=False)
 
 
 class RunFileRecord(NamedTuple):
@@ -40,15 +56,126 @@ def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
 
 
 def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
-    """Parse a run file into per-request rankings.
+    """Parse a run file into per-request rankings, in order of first appearance.
 
     ``corpus_size`` is attached to every ranking; it is configuration, not
     file content. Rank columns that disagree with the score ordering are
-    reported as a warning because the scores are authoritative. Non-finite
-    scores and a second system tag are errors, reported with their line.
+    reported as a warning because the scores are authoritative. A malformed
+    line, a non-finite score, a second system tag or a repeated item of a
+    request is a ``ParseError`` with its file and line.
+
+    The file is read in blocks of lines, each split once and checked for
+    six fields per line and one tag; ranks and scores are converted per
+    column and the rankings ordered with a stable numpy sort. Anything else
+    (non-ASCII text, a conversion that fails or overflows int64, a
+    non-finite score, a ranking ``RankedList`` refuses) reparses the whole
+    file with the line loop, which raises the first error in line order. So
+    the result, the warning and every error are the same on both paths.
     """
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
+    parsed = _parse_run_bulk(path, corpus_size)
+    if parsed is None:
+        parsed = _parse_run_lines(path, corpus_size)
+    runs, rank_mismatches = parsed
+    if rank_mismatches:
+        logger.warning(
+            "%s: %d rank fields disagree with score order; scores are authoritative",
+            str(path),
+            rank_mismatches,
+        )
+    return runs
+
+
+def _fields_per_line(text: str) -> np.ndarray:
+    """Number of ``str.split()`` fields on each line of ASCII ``text``."""
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    space = _ASCII_WHITESPACE.take(buf)
+    field_start = ~space
+    field_start[1:] &= space[:-1]
+    line_ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
+    return np.diff(np.searchsorted(np.flatnonzero(field_start), line_ends), prepend=0)
+
+
+def _parse_run_bulk(
+    path: str | Path, corpus_size: int
+) -> tuple[dict[str, RankedList], int] | None:
+    """Rankings and rank-mismatch count, or ``None`` to defer to the line loop."""
+    codes: dict[str, int] = {}  # request id -> order of first appearance
+    code_blocks: list[np.ndarray] = []
+    rank_blocks: list[np.ndarray] = []
+    score_blocks: list[np.ndarray] = []
+    items: list[str] = []
+    tag = None
+    # Undecodable bytes become surrogates, which are not ASCII, so the line
+    # loop meets them in line order and raises as it always did.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        while block := fh.readlines(_BLOCK_CHARS):
+            text = "".join(block)
+            if not text.isascii():
+                return None
+            fields = _fields_per_line(text)
+            if not ((fields == 0) | (fields == 6)).all():
+                return None
+            tokens = text.split()
+            if not tokens:
+                continue
+            tags = tokens[5::6]
+            if tag is None:
+                tag = tags[0]
+            if tags.count(tag) != len(tags):
+                return None
+            requests = tokens[0::6]
+            for request_id in dict.fromkeys(requests):
+                codes.setdefault(request_id, len(codes))
+            n = len(requests)
+            try:
+                rank_blocks.append(np.fromiter(map(int, tokens[3::6]), np.int64, n))
+                score_blocks.append(np.fromiter(map(float, tokens[4::6]), np.float64, n))
+            except (ValueError, OverflowError):  # a bad rank or score, a rank past int64
+                return None
+            code_blocks.append(np.fromiter(map(codes.__getitem__, requests), np.intp, n))
+            items += tokens[2::6]
+    if not items:
+        return {}, 0
+    code = np.concatenate(code_blocks)
+    score = np.concatenate(score_blocks)
+    if not np.isfinite(score).all():
+        return None
+    order = np.lexsort((-score, code))
+    code, score = code[order], score[order]
+    # The stable sort leaves equal scores in file order; break those ties by
+    # item id, as the line loop's sort key does.
+    group_starts = np.flatnonzero(
+        np.concatenate(([True], (code[1:] != code[:-1]) | (score[1:] != score[:-1])))
+    )
+    bounds = np.append(group_starts, len(order))
+    tied = np.flatnonzero(np.diff(bounds) > 1)
+    for lo, hi in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
+        order[lo:hi] = sorted(order[lo:hi].tolist(), key=items.__getitem__)
+    ranked = list(map(items.__getitem__, order.tolist()))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(code, minlength=len(codes)))))
+    position = np.arange(1, len(ranked) + 1) - offsets[code]
+    rank_mismatches = int(np.count_nonzero(np.concatenate(rank_blocks)[order] != position))
+    edges = offsets.tolist()
+    try:
+        runs = {
+            request_id: RankedList(request_id, tuple(ranked[lo:hi]), corpus_size, tag)
+            for request_id, lo, hi in zip(codes, edges, edges[1:])
+        }
+    except ValidationError:  # a repeated item, or more items than corpus_size
+        return None
+    return runs, rank_mismatches
+
+
+def _parse_run_lines(
+    path: str | Path, corpus_size: int
+) -> tuple[dict[str, RankedList], int]:
+    """Rankings and rank-mismatch count, one line at a time.
+
+    The reference for the bulk path, and the path that reports errors: it
+    raises at the first bad line in file order.
+    """
     spath = str(path)
     records: dict[str, list[RunFileRecord]] = {}
     seen: set[tuple[str, str]] = set()
@@ -102,13 +229,7 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
             corpus_size=corpus_size,
             system_tag=system_tag,
         )
-    if rank_mismatches:
-        logger.warning(
-            "%s: %d rank fields disagree with score order; scores are authoritative",
-            spath,
-            rank_mismatches,
-        )
-    return out
+    return out, rank_mismatches
 
 
 def parse_qrels(
@@ -163,45 +284,6 @@ def parse_qrels(
             ),
         )
         for request_id, items in grades.items()
-    }
-
-
-def parse_ratings_csv(path: str | Path, threshold: float = 4.0) -> dict[str, JudgmentSet]:
-    """Parse a ``user,item,rating`` CSV into per-user judgment sets."""
-    spath = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty ratings file", path=spath, line=1)
-        if [h.strip().lower() for h in header] != ["user", "item", "rating"]:
-            raise ParseError(
-                f"expected header user,item,rating, got {','.join(header)}",
-                path=spath,
-                line=1,
-            )
-        relevant: dict[str, set[str]] = {}
-        for number, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != 3:
-                raise ParseError(
-                    f"expected 3 comma-separated fields, got {len(row)}",
-                    path=spath,
-                    line=number,
-                )
-            user, item, rating_text = (field.strip() for field in row)
-            try:
-                rating = float(rating_text)
-            except ValueError as exc:
-                raise ParseError(f"bad rating: {exc}", path=spath, line=number) from exc
-            bucket = relevant.setdefault(user, set())
-            if rating >= threshold:
-                bucket.add(item)
-    return {
-        user: JudgmentSet(request_id=user, relevant_ids=frozenset(items))
-        for user, items in relevant.items()
     }
 
 

@@ -11,7 +11,9 @@ cutoff metrics (recall@k, R-precision), search-length metrics (ESL3,
 recall error), total search efficiency, and the exact-arithmetic
 bottom-weighted average live alongside it as standalone formulas.
 
-Everything here is a pure function of immutable inputs.
+Everything here is a pure function of immutable inputs. Float sums are
+explicit left-to-right loops: ``sum()`` compensates rounding from Python 3.12
+on, which would make scores depend on the interpreter.
 """
 
 from __future__ import annotations
@@ -41,7 +43,10 @@ class NormalizationKind(str, Enum):
 @lru_cache(maxsize=None)
 def _ndcg_z(m: int) -> float:
     # Summed in ascending order so the ideal ranking divides out to exactly 1.0.
-    return sum(1.0 / math.log2(k + 1) for k in range(1, m + 1))
+    z = 0.0
+    for k in range(1, m + 1):
+        z += 1.0 / math.log2(k + 1)
+    return z
 
 
 @dataclass(frozen=True)
@@ -326,15 +331,24 @@ def evaluate(metric: MetricId, rp: RelevantPositions) -> float:
         raise UnevaluableRequestError("no relevant positions to score")
     kind = metric.kind
     if kind is MetricKind.AP:
-        return sum(i / p for i, p in enumerate(pos, start=1)) / m
+        total = 0.0
+        for i, p in enumerate(pos, start=1):
+            total += i / p
+        return total / m
     if kind is MetricKind.RR:
         return 1.0 / pos[0]
     if kind is MetricKind.NDCG:
         # Dividing the summed gains keeps the ideal ranking at exactly 1.0.
-        return sum(1.0 / math.log2(p + 1) for p in pos) / _ndcg_z(m)
+        total = 0.0
+        for p in pos:
+            total += 1.0 / math.log2(p + 1)
+        return total / _ndcg_z(m)
     if kind is MetricKind.RBP:
         g = metric.gamma
-        return (1.0 - g) * sum(g ** (p - 1) for p in pos)
+        total = 0.0
+        for p in pos:
+            total += g ** (p - 1)
+        return (1.0 - g) * total
     if kind is MetricKind.RECALL_AT_K:
         return bisect_right(pos, metric.k) / m
     if kind is MetricKind.RPRECISION:

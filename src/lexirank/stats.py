@@ -290,11 +290,24 @@ def studentized_range_cdf(q: float, groups: int, df: int) -> float:
 
 
 def studentized_range_critical(alpha: float, groups: int, df: int) -> float:
-    """Upper critical value q with P(Q > q) = alpha, found by bisection."""
+    """Upper critical value q with P(Q > q) = alpha, found by bisection.
+
+    The bracket starts at [1e-6, 100] and its upper end doubles until the
+    CDF there reaches 1 - alpha, so heavy tails (df = 1, small alpha) are
+    not cut off at 100.
+    """
     if not 0.0 < alpha < 1.0:
         raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
     target = 1.0 - alpha
     lo, hi = 1e-6, 100.0
+    for _ in range(64):  # q up to 1.8e21; beyond that the CDF cannot resolve alpha
+        if studentized_range_cdf(hi, groups, df) >= target:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise ValidationError(
+            f"alpha {alpha} is too small: the CDF stays below 1 - alpha up to q = {lo:g}"
+        )
     for _ in range(200):
         mid = (lo + hi) / 2.0
         if studentized_range_cdf(mid, groups, df) < target:

@@ -4,14 +4,17 @@ import io
 import json
 import logging
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import lexirank.io
 from lexirank import (
     ParseError,
     ValidationError,
     parse_qrels,
-    parse_ratings_csv,
     parse_run_file,
     project_and_impute,
     write_table,
@@ -101,6 +104,155 @@ class TestParseRunFile:
             assert reparsed[request_id].items == ranking.items
 
 
+# Run-file pieces for the bulk/line-loop property: score spellings with ties
+# (0.0 against -0.0 among them), every ASCII separator str.split() knows,
+# both line ends, blank lines, and one non-ASCII item id.
+_REQUESTS = ["q1", "q2", "q10"]
+_ITEMS = ["d1", "d2", "d3", "d10", "D2", "d-4", "d\u00e9"]
+_SCORES = ["0.0", "-0.0", "0", "-0", "1.5", "+1.5", "1.50", "2", "-3e-2", "7"]
+_SEPARATORS = [" ", "   ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \t"]
+_PADDING = ["", " ", "\t "]
+_LINE_ENDS = ["\n", "\r\n"]
+_BLANK_LINES = ["", "   ", "\t"]
+# Characters per block of the bulk reader: one line per block, a few lines,
+# and the production size.
+_BLOCK_SIZES = [1, 60, lexirank.io._BLOCK_CHARS]
+
+
+@st.composite
+def _run_lines(draw, ascii_only: bool) -> list[list[str]]:
+    """Fields of the lines of a valid run file, requests interleaved."""
+    items = [i for i in _ITEMS if i.isascii()] if ascii_only else _ITEMS
+    keys = draw(
+        st.lists(
+            st.tuples(st.sampled_from(_REQUESTS), st.sampled_from(items)),
+            min_size=1,
+            max_size=25,
+            unique=True,
+        )
+    )
+    return [
+        [request, "Q0", item, str(draw(st.integers(1, 4))), draw(st.sampled_from(_SCORES)), "tg"]
+        for request, item in keys
+    ]
+
+
+@st.composite
+def _layout(draw, rows: list[list[str]]) -> bytes:
+    """Serialise rows with drawn separators, padding, line ends and blank lines."""
+    out = []
+    for fields in rows:
+        if draw(st.booleans()):
+            out.append(draw(st.sampled_from(_BLANK_LINES)) + draw(st.sampled_from(_LINE_ENDS)))
+        text = fields[0]
+        for field in fields[1:]:
+            text += draw(st.sampled_from(_SEPARATORS)) + field
+        pad = st.sampled_from(_PADDING)
+        out.append(draw(pad) + text + draw(pad) + draw(st.sampled_from(_LINE_ENDS)))
+    if draw(st.booleans()):  # a last line without its line end
+        out[-1] = out[-1].rstrip("\r\n")
+    return "".join(out).encode("utf-8")
+
+
+def _break(draw, rows: list[list[str]]) -> tuple[list[list[str]], int]:
+    """One malformation at a drawn line, and the corpus size to parse with."""
+    rows = [list(fields) for fields in rows]
+    at = draw(st.integers(0, len(rows) - 1))
+    kind = draw(st.sampled_from(["fields", "rank", "score", "tag", "duplicate", "corpus"]))
+    corpus_size = 100
+    if kind == "fields":
+        # A line break one field early or late: 5 and 7 fields on adjacent
+        # lines keep the token total a multiple of 6 and the columns aligned.
+        joined = rows[at] + [rows[at][0], "Q0", "d99", "1", "0.5", "tg"]
+        cut = draw(st.sampled_from([5, 7]))
+        rows[at : at + 1] = [joined[:cut], joined[cut:]]
+    elif kind == "rank":
+        rows[at][3] = draw(st.sampled_from(["x1", "1.0", "99999999999999999999"]))
+    elif kind == "score":
+        rows[at][4] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "high"]))
+    elif kind == "tag":
+        rows[at][5] = "other"
+    elif kind == "duplicate":
+        rows.insert(draw(st.integers(at + 1, len(rows))), list(rows[at]))
+    else:  # one item more than the corpus holds in the deepest request
+        deepest = max(sum(fields[0] == request for fields in rows) for request in _REQUESTS)
+        corpus_size = max(1, deepest - 1)
+    return rows, corpus_size
+
+
+class _Warnings(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+def _outcome(parse, path: Path, corpus_size: int):
+    """What a parse returns (rankings and warnings) or raises, comparably."""
+    handler = _Warnings()
+    logger = logging.getLogger("lexirank.io")
+    logger.addHandler(handler)
+    try:
+        runs = parse(path, corpus_size)
+    except ValidationError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "path", None), getattr(exc, "line", None))
+    finally:
+        logger.removeHandler(handler)
+    rankings = [(q, r.request_id, r.items, r.corpus_size, r.system_tag) for q, r in runs.items()]
+    return rankings, handler.messages
+
+
+def _line_loop(path: Path, corpus_size: int):
+    """``parse_run_file`` with the bulk path taken out: the reference."""
+    with mock.patch.object(lexirank.io, "_parse_run_bulk", return_value=None):
+        return parse_run_file(path, corpus_size)
+
+
+class TestBulkParserMatchesLineLoop:
+    """``parse_run_file`` against the line loop it falls back to."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), ascii_only=st.booleans(), block=st.sampled_from(_BLOCK_SIZES))
+    def test_valid_files(self, tmp_path_factory, data, ascii_only, block):
+        rows = data.draw(_run_lines(ascii_only))
+        path = tmp_path_factory.mktemp("bulk") / "run.txt"
+        path.write_bytes(data.draw(_layout(rows)))
+        with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
+            assert _outcome(parse_run_file, path, 100) == _outcome(_line_loop, path, 100)
+            # Only the non-ASCII item id sends a valid file to the line loop.
+            deferred = lexirank.io._parse_run_bulk(path, 100) is None
+        assert deferred == any(not fields[2].isascii() for fields in rows)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), block=st.sampled_from(_BLOCK_SIZES))
+    def test_malformed_files(self, tmp_path_factory, data, block):
+        rows, corpus_size = _break(data.draw, data.draw(_run_lines(ascii_only=True)))
+        path = tmp_path_factory.mktemp("bulk") / "run.txt"
+        path.write_bytes(data.draw(_layout(rows)))
+        with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
+            got = _outcome(parse_run_file, path, corpus_size)
+        assert got == _outcome(_line_loop, path, corpus_size)
+
+    def test_zero_and_negative_zero_tie_by_item_id(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 dB 1 -0.0 t\nq1 Q0 dC 2 1 t\nq1 Q0 dA 3 0.0 t\n")
+        assert parse_run_file(path, corpus_size=10)["q1"].items == ("dC", "dA", "dB")
+
+    def test_nul_and_undecodable_bytes_match_the_line_loop(self, tmp_path):
+        path = tmp_path / "run.txt"
+        # NUL is neither ASCII whitespace nor a line end: an ordinary item id.
+        path.write_bytes(b"q1 Q0 d\x001 1 1.0 t\n")
+        assert _outcome(parse_run_file, path, 10) == _outcome(_line_loop, path, 10)
+        assert parse_run_file(path, 10)["q1"].items == ("d\x001",)
+        # A bad line, then undecodable bytes past the first 8 KB decoding
+        # chunk but inside the first 64 KB block: the line loop reports the
+        # bad line, and so must parse_run_file.
+        path.write_bytes(b"q1 Q0 d1 1 1.0\n" + b"q1 Q0 d2 2 0.5 t\n" * 1000 + b"\xff\n")
+        assert _outcome(parse_run_file, path, 10**6) == _outcome(_line_loop, path, 10**6)
+
+
 class TestParseQrels:
     def test_default_threshold(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -147,33 +299,6 @@ class TestParseQrels:
         path.write_text("q1 0 d1 2\n")
         judgments = parse_qrels(path, binarize_threshold=3)
         assert not judgments["q1"].evaluable
-
-
-class TestParseRatings:
-    def test_threshold_rule(self, tmp_path):
-        path = tmp_path / "ratings.csv"
-        path.write_text("user,item,rating\nu1,i9,4.5\nu1,i7,3.9\nu2,i9,4.0\n")
-        judgments = parse_ratings_csv(path, threshold=4)
-        assert judgments["u1"].relevant_ids == frozenset({"i9"})
-        assert judgments["u2"].relevant_ids == frozenset({"i9"})
-
-    def test_empty_after_header(self, tmp_path):
-        path = tmp_path / "ratings.csv"
-        path.write_text("user,item,rating\n")
-        assert parse_ratings_csv(path) == {}
-
-    def test_bad_rating_line_number(self, tmp_path):
-        path = tmp_path / "ratings.csv"
-        path.write_text("user,item,rating\nu1,i1,good\n")
-        with pytest.raises(ParseError) as err:
-            parse_ratings_csv(path)
-        assert err.value.line == 2
-
-    def test_header_required(self, tmp_path):
-        path = tmp_path / "ratings.csv"
-        path.write_text("who,what,score\nu1,i1,4\n")
-        with pytest.raises(ParseError):
-            parse_ratings_csv(path)
 
 
 class TestWriteTable:
@@ -252,17 +377,14 @@ class TestEndToEndProjection:
         assert rp.positions == (2, 3, 8)
 
     def test_ratings_feed_the_scoring_pipeline(self, tmp_path):
-        # Per-user judgment sets from a rating export score a recommendation
-        # list end to end.
+        # Per-user judgment sets from a rating export, written as qrels with
+        # integer grades and binarized at 4, score a recommendation list end
+        # to end.
         from lexirank import MetricId, RankedList, evaluate
 
-        ratings = tmp_path / "ratings.csv"
-        ratings.write_text(
-            "user,item,rating\n"
-            "u1,i1,5\nu1,i2,3.5\nu1,i3,4\n"
-            "u2,i2,4.5\nu2,i3,2\n"
-        )
-        judgments = parse_ratings_csv(ratings, threshold=4)
+        ratings = tmp_path / "ratings.qrels"
+        ratings.write_text("u1 0 i1 5\nu1 0 i2 3\nu1 0 i3 4\nu2 0 i2 5\nu2 0 i3 2\n")
+        judgments = parse_qrels(ratings, binarize_threshold=4)
         run = RankedList("u1", ("i2", "i1", "i4", "i3"), corpus_size=10)
         rp = project_and_impute(run, judgments["u1"])
         assert rp.positions == (2, 4)

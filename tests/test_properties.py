@@ -1,5 +1,9 @@
 """Hypothesis suites for order structure and metric behaviour under edits."""
 
+import math
+import operator
+from functools import reduce
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +134,31 @@ class TestMetricEdits:
             vec, ExposureModel.reciprocal(), NormalizationModel.ap()
         )
         assert abs(value - evaluate(MetricId.ap(), vec)) <= 1e-12
+
+
+def _left_to_right(terms) -> float:
+    return reduce(operator.add, terms, 0.0)
+
+
+class TestSummationOrder:
+    """Float sums run left to right, so scores do not depend on the Python
+    version (``sum()`` compensates rounding from 3.12 on)."""
+
+    @settings(max_examples=200)
+    @given(
+        position_vectors(max_corpus=10**6, max_m=200),
+        st.floats(min_value=0.01, max_value=0.99),
+    )
+    def test_evaluate_equals_reduce_reference_bitwise(self, vec, gamma):
+        pos = vec.positions
+        ideal = _left_to_right(1.0 / math.log2(k + 1) for k in range(1, vec.m + 1))
+        expected = {
+            MetricId.ap(): _left_to_right(i / p for i, p in enumerate(pos, start=1)) / vec.m,
+            MetricId.ndcg(): _left_to_right(1.0 / math.log2(p + 1) for p in pos) / ideal,
+            MetricId.rbp(gamma): (1.0 - gamma) * _left_to_right(gamma ** (p - 1) for p in pos),
+        }
+        for metric, value in expected.items():
+            assert evaluate(metric, vec).hex() == value.hex(), metric
 
 
 class TestHolmStructure:

@@ -176,8 +176,16 @@ class TestStudentizedRange:
         worst = int(np.argmax(errors))
         assert errors[worst] <= 1e-9, (self._SWEEP[worst], errors[worst])
 
-    @pytest.mark.parametrize("groups,df", [(2, 1), (5, 26), (12, 693)])
-    @pytest.mark.parametrize("alpha", [0.05, 0.01])
+    # Past q = 100 at (2 groups, df 1): 180.06 at alpha 0.005, 900.32 at 0.001.
+    @pytest.mark.parametrize(
+        "alpha,groups,df",
+        [
+            (alpha, groups, df)
+            for alpha in (0.05, 0.01)
+            for groups, df in ((2, 1), (5, 26), (12, 693))
+        ]
+        + [(0.005, 2, 1), (0.001, 2, 1)],
+    )
     def test_critical_against_reference(self, alpha, groups, df):
         expected = float(scipy.stats.studentized_range.ppf(1.0 - alpha, groups, df))
         assert studentized_range_critical(alpha, groups, df) == pytest.approx(expected, abs=1e-5)
