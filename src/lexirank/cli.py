@@ -236,7 +236,13 @@ def cmd_ties(args) -> int:
                 )
         _write_output(rows, ["D", "m", "metric", "tie_probability"], args)
         return 0
-    lo, hi = (min(_m_values(args)), max(_m_values(args)))
+    m_values = _m_values(args)
+    lo, hi = m_values[0], m_values[-1]
+    if m_values != list(range(lo, hi + 1)):
+        raise ValidationError(
+            f"empirical ties draw m from one contiguous range, not {m_values}; "
+            "use --m-range LO HI"
+        )
     config = analytics.SimulationConfig(
         corpus_size=args.corpus_size,
         m_range=(lo, hi),

@@ -266,10 +266,10 @@ def recall_level_metric(
     m = rp.m
     if m == 0:
         raise UnevaluableRequestError("no relevant positions to score")
-    return sum(
-        exposure.at(p) * normalization.weight(i, m)
-        for i, p in enumerate(rp.positions, start=1)
-    )
+    total = 0.0
+    for i, p in enumerate(rp.positions, start=1):
+        total += exposure.at(p) * normalization.weight(i, m)
+    return total
 
 
 def tse(rp: RelevantPositions, exposure: ExposureModel) -> float:
@@ -411,12 +411,13 @@ def is_top_heavy(
     for m in range(1, min(m_max, corpus_size) + 1):
         for pos in combinations(range(1, corpus_size + 1), m):
             g = [exposure.at(p) for p in pos]
-            full = sum(g[i - 1] * normalization.weight(i, m) for i in range(1, m + 1))
+            full = 0.0
+            for i in range(1, m + 1):
+                full += g[i - 1] * normalization.weight(i, m)
             for j in range(1, m):
-                tail = sum(
-                    g[i - 1] * normalization.weight(i - j, m - j)
-                    for i in range(j + 1, m + 1)
-                )
+                tail = 0.0
+                for i in range(j + 1, m + 1):
+                    tail += g[i - 1] * normalization.weight(i - j, m - j)
                 if full < tail - _TOP_HEAVY_SLACK:
                     return TopHeavinessCheck(False, (pos, j, full, tail))
     return TopHeavinessCheck(True, None)

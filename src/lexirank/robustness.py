@@ -9,6 +9,8 @@ shortcuts used elsewhere can be checked against an exhaustive minimum.
 The worst-case minima enumerate every subset, vectorised: all 2^m - 1
 subsets are bitmasks scored together in numpy, with each subset's sum formed
 in the same order as a scalar loop, so values and witnesses are exact.
+Scalar float sums are explicit left-to-right loops, as in ``metrics``, so
+results do not depend on the Python version.
 Enumeration caps are unchanged: the subset population is capped at m = 20
 and the optimal-ranking analysis at m = 8.
 All functions are pure and deterministic, so results never depend on any
@@ -90,10 +92,10 @@ def user_utility(
     _check_levels(rp, subset)
     n = len(subset)
     pos = rp.positions
-    return sum(
-        exposure.at(pos[level - 1]) * normalization.weight(i, n)
-        for i, level in enumerate(subset.levels, start=1)
-    )
+    total = 0.0
+    for i, level in enumerate(subset.levels, start=1):
+        total += exposure.at(pos[level - 1]) * normalization.weight(i, n)
+    return total
 
 
 def provider_utility(
@@ -104,7 +106,10 @@ def provider_utility(
     """Cumulative exposure of a provider owning the items at these levels."""
     _check_levels(rp, subset)
     pos = rp.positions
-    return sum(exposure.at(pos[level - 1]) for level in subset.levels)
+    total = 0.0
+    for level in subset.levels:
+        total += exposure.at(pos[level - 1])
+    return total
 
 
 class WorstCase(NamedTuple):
@@ -253,7 +258,10 @@ def optimal_ranker_worst_case(
         total = 0.0
         count = 0
         for placement in combinations(range(m), size):
-            total += sum(gains[idx] * row[i] for i, idx in enumerate(placement))
+            placed = 0.0
+            for i, idx in enumerate(placement):
+                placed += gains[idx] * row[i]
+            total += placed
             count += 1
         mean = total / count
         if stochastic is None or mean < stochastic:

@@ -206,6 +206,26 @@ class TestOtherCommands:
         assert code == 0
         assert len(out.read_text().splitlines()) == 5
 
+    def test_ties_empirical_rejects_gapped_m_list(self, tmp_path, capsys):
+        def ties(out, *m_flags):
+            return run_cli(
+                [
+                    "ties", "--mode", "empirical", "--corpus-size", "100", *m_flags,
+                    "--pairs", "200", "--seed", "5", "--out", out,
+                ]
+            )
+
+        assert ties(tmp_path / "gap.tsv", "--m", "5", "--m", "200") == 1
+        assert "--m-range" in capsys.readouterr().err
+        assert not (tmp_path / "gap.tsv").exists()
+        # A single --m, or a list without gaps, is the same range as --m-range.
+        assert ties(tmp_path / "one.tsv", "--m", "10") == 0
+        assert ties(tmp_path / "range.tsv", "--m-range", "10", "10") == 0
+        assert (tmp_path / "one.tsv").read_bytes() == (tmp_path / "range.tsv").read_bytes()
+        assert ties(tmp_path / "list.tsv", "--m", "4", "--m", "3", "--m", "5") == 0
+        assert ties(tmp_path / "span.tsv", "--m-range", "3", "5") == 0
+        assert (tmp_path / "list.tsv").read_bytes() == (tmp_path / "span.tsv").read_bytes()
+
     def test_simulate_agreement(self, tmp_path):
         out = tmp_path / "agr.tsv"
         code = run_cli(

@@ -13,12 +13,15 @@ from lexirank import (
     MetricId,
     NormalizationModel,
     RelevantPositions,
+    UserSubset,
     UtilityVector,
     evaluate,
     holm_bonferroni,
     leximin_compare,
     lexirecall_compare,
+    provider_utility,
     recall_level_metric,
+    user_utility,
 )
 
 from rank_scenarios import contiguous_lift_case, retrieval_growth_case, swap_up_case
@@ -159,6 +162,39 @@ class TestSummationOrder:
         }
         for metric, value in expected.items():
             assert evaluate(metric, vec).hex() == value.hex(), metric
+
+
+    @settings(max_examples=200)
+    @given(
+        position_vectors(max_corpus=10**6, max_m=200),
+        st.sampled_from(["reciprocal", "log2", "geometric", "linear"]),
+        st.sampled_from(["ap", "ndcg", "rbp", "uniform"]),
+        st.data(),
+    )
+    def test_utilities_equal_reduce_reference_bitwise(self, vec, exposure, norm, data):
+        D, m, pos = vec.corpus_size, vec.m, vec.positions
+        exposure = {
+            "reciprocal": ExposureModel.reciprocal,
+            "log2": ExposureModel.log2,
+            "geometric": lambda: ExposureModel.geometric(0.8),
+            "linear": lambda: ExposureModel.linear(D),
+        }[exposure]()
+        norm = getattr(NormalizationModel, norm)()
+        levels = sorted(data.draw(st.sets(st.integers(1, m), min_size=1, max_size=m)))
+        subset = UserSubset(tuple(levels))
+        n = len(levels)
+
+        full = _left_to_right(
+            exposure.at(p) * norm.weight(i, m) for i, p in enumerate(pos, start=1)
+        )
+        user = _left_to_right(
+            exposure.at(pos[level - 1]) * norm.weight(i, n)
+            for i, level in enumerate(levels, start=1)
+        )
+        provider = _left_to_right(exposure.at(pos[level - 1]) for level in levels)
+        assert recall_level_metric(vec, exposure, norm).hex() == full.hex()
+        assert user_utility(vec, subset, exposure, norm).hex() == user.hex()
+        assert provider_utility(vec, exposure, subset).hex() == provider.hex()
 
 
 class TestHolmStructure:

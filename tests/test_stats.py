@@ -3,6 +3,8 @@
 import math
 import subprocess
 import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +21,6 @@ from lexirank import (
     holm_bonferroni,
     paired_t_test,
     studentized_range_cdf,
-    studentized_range_critical,
     tukey_hsd,
 )
 from lexirank import stats
@@ -142,9 +143,10 @@ class TestStudentizedRange:
         ],
     )
     def test_published_critical_values(self, alpha, groups, df, expected):
-        assert studentized_range_critical(alpha, groups, df) == pytest.approx(
-            expected, abs=0.01
-        )
+        # The CDF is increasing, so it brackets 1 - alpha around the table value.
+        target = 1.0 - alpha
+        assert studentized_range_cdf(expected - 0.01, groups, df) < target
+        assert studentized_range_cdf(expected + 0.01, groups, df) > target
 
     def test_cdf_against_reference(self, rng):
         for _ in range(25):
@@ -188,7 +190,15 @@ class TestStudentizedRange:
     )
     def test_critical_against_reference(self, alpha, groups, df):
         expected = float(scipy.stats.studentized_range.ppf(1.0 - alpha, groups, df))
-        assert studentized_range_critical(alpha, groups, df) == pytest.approx(expected, abs=1e-5)
+        target = 1.0 - alpha
+        assert studentized_range_cdf(expected - 1e-5, groups, df) < target
+        assert studentized_range_cdf(expected + 1e-5, groups, df) > target
+
+    def test_integer_power_against_pow(self, rng):
+        base = rng.uniform(size=1000)
+        for n in (1, 2, 3, 11, 49, 64, 199):
+            got = stats._int_power(base, n)
+            assert np.all(np.abs(got - base**n) <= n * 2.3e-16 * base**n), n
 
     def test_cdf_edges(self):
         assert studentized_range_cdf(0.0, 3, 10) == 0.0
@@ -262,43 +272,7 @@ class TestTukey:
         assert grid[0, 1] == 1.0
         assert grid[0, 2] == grid[1, 2] == 0.0
 
-    def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            tukey_hsd(self._matrix([[0.1, 0.2]]))
-        with pytest.raises(ValidationError):
-            ScoreMatrix(("a",), ("q1", "q2"), np.zeros((2, 2)))
-
-
-_SCIPY_LOADED = "sorted(k for k in sys.modules if k.split('.')[0] == 'scipy')"
-
-
-class TestLazyScipy:
-    """scipy is loaded by the first HSD call, never by import."""
-
-    def _child(self, code):
-        proc = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.strip()
-
-    def test_import_does_not_load_scipy(self):
-        code = f"import sys, lexirank, lexirank.cli; print({_SCIPY_LOADED})"
-        assert self._child(code) == "[]"
-
-    def test_first_hsd_call_loads_scipy(self):
-        code = (
-            "import sys, numpy as np\n"
-            "from lexirank import ScoreMatrix, tukey_hsd\n"
-            f"before = {_SCIPY_LOADED}\n"
-            "values = np.arange(12.0).reshape(3, 4) % 5\n"
-            "tukey_hsd(ScoreMatrix(('a', 'b', 'c'), ('q1', 'q2', 'q3', 'q4'), values))\n"
-            "print(before, 'scipy.special' in sys.modules)"
-        )
-        assert self._child(code) == "[] True"
-
-    def test_tukey_after_lazy_import_matches_scipy(self, rng):
-        stats._z_grid.cache_clear()
+    def test_grid_against_reference(self, rng):
         n_runs, n_requests = 5, 12
         values = rng.uniform(size=(n_runs, n_requests))
         grid = tukey_hsd(
@@ -317,6 +291,58 @@ class TestLazyScipy:
                 q = abs(run_means[i] - run_means[j]) / se
                 expected = float(scipy.stats.studentized_range.sf(q, n_runs, df))
                 assert grid[i, j] == pytest.approx(expected, abs=1e-6)
+
+    def test_shape_validation(self):
+        with pytest.raises(ValidationError):
+            tukey_hsd(self._matrix([[0.1, 0.2]]))
+        with pytest.raises(ValidationError):
+            ScoreMatrix(("a",), ("q1", "q2"), np.zeros((2, 2)))
+
+
+class TestNoScipyAtRuntime:
+    """scipy is a reference for these tests only: no command loads it."""
+
+    def test_compare_hsd_and_tukey_never_load_scipy(self, tmp_path):
+        fixtures = Path(__file__).parent / "fixtures"
+        argv = ["compare", "--method", "metric:AP", "--hsd", "--corpus-size", "50"]
+        for name in ("run_a.txt", "run_b.txt", "run_c.txt"):
+            argv += ["--runs", str(fixtures / name)]
+        argv += ["--qrels", str(fixtures / "qrels.txt"), "--out", str(tmp_path / "hsd.tsv")]
+        code = (
+            "import sys, numpy as np\n"
+            "from lexirank import ScoreMatrix, tukey_hsd\n"
+            "from lexirank.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "values = np.arange(12.0).reshape(3, 4) % 5\n"
+            "tukey_hsd(ScoreMatrix(('a', 'b', 'c'), ('q1', 'q2', 'q3', 'q4'), values))\n"
+            "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "p_hsd" in (tmp_path / "hsd.tsv").read_text().splitlines()[0]
+        assert proc.stdout.strip() == "[]"
+
+
+class TestNormalCdf:
+    def test_against_reference(self):
+        # Both sides of Cody's range switches at 0.67448975 and sqrt(32).
+        edges = [0.67448975, math.sqrt(32.0)]
+        near_edges = [np.nextafter(e, d) for e in edges for d in (0.0, 50.0)]
+        t = np.concatenate([np.linspace(-40.0, 40.0, 200_001), edges, near_edges])
+        t = np.concatenate([t, -t])
+        assert np.max(np.abs(stats._normal_cdf(t) - scipy.special.ndtr(t))) <= 4.5e-16
+
+    def test_reflection(self):
+        t = np.linspace(0.0, 40.0, 100_001)
+        assert np.max(np.abs(stats._normal_cdf(t) + stats._normal_cdf(-t) - 1.0)) <= 2.2e-16
+
+    def test_extremes(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # y * y must not overflow
+            got = stats._normal_cdf(np.array([-np.inf, -1e300, 0.0, 1e300, np.inf]))
+        assert got.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
 def _ladder_tallies(n_runs=5, n_requests=60):
