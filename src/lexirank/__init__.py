@@ -45,9 +45,7 @@ from .metrics import (
     NormalizationModel,
     evaluate,
     is_top_heavy,
-    lexirecall_weights,
     metric_lexirecall,
-    recall_level_metric,
     tse,
 )
 from .prefs import (
@@ -68,10 +66,8 @@ from .robustness import (
     worst_case_user,
 )
 from .stats import (
-    PreferenceTallies,
     ScoreMatrix,
     binomial_sign_test,
-    discriminative_power,
     holm_bonferroni,
     paired_t_test,
     studentized_range_cdf,
@@ -94,7 +90,6 @@ __all__ = [
     "ParseError",
     "Preference",
     "PreferenceOutcome",
-    "PreferenceTallies",
     "RankedList",
     "RelevantPositions",
     "ScoreMatrix",
@@ -108,14 +103,12 @@ __all__ = [
     "binomial_sign_test",
     "degradation_study",
     "degrade_judgments",
-    "discriminative_power",
     "enumerate_users",
     "evaluate",
     "holm_bonferroni",
     "is_top_heavy",
     "leximin_compare",
     "lexirecall_compare",
-    "lexirecall_weights",
     "make_method",
     "metric_compare",
     "metric_lexirecall",
@@ -127,7 +120,6 @@ __all__ = [
     "project_and_impute",
     "project_runs",
     "provider_utility",
-    "recall_level_metric",
     "simulate_pairs",
     "studentized_range_cdf",
     "tie_fractions",

@@ -121,6 +121,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    if not 0.0 < args.alpha < 1.0:
+        raise ValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
     judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
     runs = _load_runs(args.runs, args.corpus_size, args.depth)
     if len(runs) < 2:
@@ -324,12 +326,19 @@ def cmd_orientation(args) -> int:
 
 
 def cmd_degrade(args) -> int:
-    judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
-    runs = _load_runs(args.runs, args.corpus_size, args.depth)
-    fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    try:
+        fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+    except ValueError:
+        raise ValidationError(
+            f"--fractions takes comma-separated numbers, got {args.fractions!r}"
+        ) from None
+    if not fractions:
+        raise ValidationError("--fractions needs at least one fraction")
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:
             raise ValidationError(f"fractions must lie in [0, 1), got {fraction}")
+    judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
+    runs = _load_runs(args.runs, args.corpus_size, args.depth)
     rows = analytics.degradation_study(
         runs,
         judgments,

@@ -277,16 +277,6 @@ class Preference:
     def is_tie(self) -> bool:
         return self.outcome is PreferenceOutcome.TIE
 
-    def flipped(self) -> "Preference":
-        if self.is_tie:
-            return self
-        flipped = (
-            PreferenceOutcome.PREFER_SECOND
-            if self.outcome is PreferenceOutcome.PREFER_FIRST
-            else PreferenceOutcome.PREFER_FIRST
-        )
-        return Preference(flipped, self.deciding_level)
-
 
 def project_and_impute(
     ranked_list: RankedList,

@@ -6,10 +6,11 @@ The central form is a sum over recall levels: given the sorted positions
     sum_i exposure(p_i) * normalization(i, m)
 
 with a strictly decreasing exposure model and a metric-specific
-normalization. AP, RR, NDCG, and RBP are instances of this form. Flat
-cutoff metrics (recall@k, R-precision), search-length metrics (ESL3,
-recall error), total search efficiency, and the exact-arithmetic
-bottom-weighted average live alongside it as standalone formulas.
+normalization. AP, RR, NDCG, and RBP are instances of this form, which
+``robustness.user_utility`` evaluates on any set of levels. Flat cutoff
+metrics (recall@k, R-precision), search-length metrics (ESL3, recall
+error), total search efficiency, and the exact-arithmetic bottom-weighted
+average live alongside it as standalone formulas.
 
 Everything here is a pure function of immutable inputs. Float sums are
 explicit left-to-right loops: ``sum()`` compensates rounding from Python 3.12
@@ -25,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple, Protocol
+from typing import NamedTuple
 
 from .core import ExposureModel, RelevantPositions
 from .errors import EnumerationBudgetError, UnevaluableRequestError, ValidationError
@@ -112,6 +113,14 @@ class MetricKind(str, Enum):
 _DEFAULT_GAMMA = 0.8
 _DEFAULT_K = 1000
 _DEFAULT_EPSILON = Fraction(1, 2)
+
+
+def _parameter(convert, value: str, text: str):
+    """``convert(value)``, with a malformed value reported against the metric ``text``."""
+    try:
+        return convert(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValidationError(f"bad parameter {value!r} in metric {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -228,9 +237,9 @@ class MetricId:
             return cls.ndcg()
         if low.startswith("rbp"):
             rest = low[3:].lstrip(":")
-            return cls.rbp(float(rest)) if rest else cls.rbp()
+            return cls.rbp(_parameter(float, rest, text)) if rest else cls.rbp()
         if low.startswith(("recall@", "r@")):
-            return cls.recall_at(int(low.split("@", 1)[1]))
+            return cls.recall_at(_parameter(int, low.split("@", 1)[1], text))
         if low in ("rprecision", "r-precision", "rprec", "rp"):
             return cls.r_precision()
         if low.startswith("tse"):
@@ -241,7 +250,7 @@ class MetricId:
                 return cls.tse(ExposureModel.log2())
             if rest.startswith("geometric"):
                 gamma = rest.split(":", 1)[1] if ":" in rest else str(_DEFAULT_GAMMA)
-                return cls.tse(ExposureModel.geometric(float(gamma)))
+                return cls.tse(ExposureModel.geometric(_parameter(float, gamma, text)))
             if rest == "linear":
                 if corpus_size is None:
                     raise ValidationError("tse:linear requires a corpus size")
@@ -253,23 +262,10 @@ class MetricId:
             return cls.recall_error()
         if low.startswith(("metric-lexirecall", "metric_lexirecall", "mlr")):
             rest = low.split(":", 1)
-            return cls.metric_lexirecall(Fraction(rest[1])) if len(rest) == 2 else cls.metric_lexirecall()
+            if len(rest) == 1:
+                return cls.metric_lexirecall()
+            return cls.metric_lexirecall(_parameter(Fraction, rest[1], text))
         raise ValidationError(f"unknown metric {text!r}")
-
-
-def recall_level_metric(
-    rp: RelevantPositions,
-    exposure: ExposureModel,
-    normalization: NormalizationModel,
-) -> float:
-    """Evaluate the generic summation form on a position vector."""
-    m = rp.m
-    if m == 0:
-        raise UnevaluableRequestError("no relevant positions to score")
-    total = 0.0
-    for i, p in enumerate(rp.positions, start=1):
-        total += exposure.at(p) * normalization.weight(i, m)
-    return total
 
 
 def tse(rp: RelevantPositions, exposure: ExposureModel) -> float:
@@ -279,48 +275,41 @@ def tse(rp: RelevantPositions, exposure: ExposureModel) -> float:
     return exposure.at(rp.positions[-1])
 
 
-def lexirecall_weights(m: int, corpus_size: int, epsilon: Fraction) -> tuple[Fraction, ...]:
-    """Bottom-heavy weight vector for the exact leximin-representing average.
-
-    With ``delta = 1/(D+epsilon)`` the weights are ``delta^(m-1)/(1+delta)^(m-1)``
-    at the top level and ``delta^(m-i)/(1+delta)^(m+1-i)`` below it. They sum
-    to exactly 1 and each weight exceeds ``(D-1)`` times the total weight above
-    it, which is what makes the weighted average order vectors leximin-style.
-    """
-    if m < 1:
-        raise ValidationError("need at least one recall level")
-    if not 0 < epsilon < 1:
-        raise ValidationError(f"epsilon must lie in (0,1), got {epsilon}")
-    delta = 1 / (corpus_size + epsilon)
-    one_plus = 1 + delta
-    weights = [delta ** (m - 1) / one_plus ** (m - 1)]
-    for i in range(2, m + 1):
-        weights.append(delta ** (m - i) / one_plus ** (m + 1 - i))
-    total = sum(weights)
-    if total != 1:
-        raise AssertionError(f"weights must sum to exactly 1, got {total}")
-    return tuple(weights)
-
-
 def metric_lexirecall(
     rp: RelevantPositions, epsilon: Fraction | float = _DEFAULT_EPSILON
 ) -> Fraction:
     """Exact-rational bottom-heavy weighted average of position allocations.
 
+    With ``delta = 1/(D+epsilon)`` the weights are ``delta^(m-1)/(1+delta)^(m-1)``
+    at the top level and ``delta^(m-i)/(1+delta)^(m+1-i)`` below it. They sum
+    to exactly 1 and each weight exceeds ``(D-1)`` times the total weight above
+    it, which is what makes the weighted average order vectors leximin-style.
     Scores order rankings exactly as the bottom-up positional comparison
-    does, at the cost of arbitrary-precision arithmetic. Convert to float
-    only for reporting; float evaluation loses the ordering guarantee.
+    does. Convert to float only for reporting; float evaluation loses the
+    ordering guarantee.
+
+    With ``epsilon = a/b``, ``M = bD + a`` and ``N = M + b`` the weights are
+    ``b^(m-1) N / N^m`` at the top and ``b^(m-i) M N^(i-1) / N^m`` below, so
+    the score is one integer numerator over ``D N^m``.
     """
     m = rp.m
     if m == 0:
         raise UnevaluableRequestError("no relevant positions to score")
     eps = Fraction(epsilon)
+    if not 0 < eps < 1:
+        raise ValidationError(f"epsilon must lie in (0,1), got {eps}")
+    a, b = eps.numerator, eps.denominator
     D = rp.corpus_size
-    weights = lexirecall_weights(m, D, eps)
-    return sum(
-        (w * Fraction(D - p, D) for w, p in zip(weights, rp.positions)),
-        start=Fraction(0),
-    )
+    M = b * D + a
+    N = M + b
+    # Horner in N from the bottom level up; level i carries b^(m-i).
+    numerator = 0
+    b_power = 1
+    for i in range(m, 0, -1):
+        level_factor = M if i > 1 else N
+        numerator = numerator * N + level_factor * b_power * (D - rp.positions[i - 1])
+        b_power *= b
+    return Fraction(numerator, D * N**m)
 
 
 def evaluate(metric: MetricId, rp: RelevantPositions) -> float:
@@ -369,10 +358,6 @@ def exact_value(metric: MetricId, rp: RelevantPositions) -> Fraction | float:
     return evaluate(metric, rp)
 
 
-class _Normalization(Protocol):
-    def weight(self, i: int, m: int) -> float: ...
-
-
 class TopHeavinessCheck(NamedTuple):
     holds: bool
     counterexample: tuple[tuple[int, ...], int, float, float] | None
@@ -385,7 +370,7 @@ _TOP_HEAVY_SLACK = 1e-12
 
 def is_top_heavy(
     exposure: ExposureModel,
-    normalization: _Normalization,
+    normalization: NormalizationModel,
     m_max: int,
     corpus_size: int,
 ) -> TopHeavinessCheck:

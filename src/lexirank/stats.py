@@ -58,28 +58,6 @@ class ScoreMatrix:
         return self.values[self.runs.index(tag)]
 
 
-@dataclass(frozen=True, eq=False)
-class PreferenceTallies:
-    """Win/loss/tie counts for every ordered run pair, one tally per request."""
-
-    runs: tuple[str, ...]
-    wins: np.ndarray  # wins[i, j] = requests where run i strictly beats run j
-    ties: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(self.runs))
-        wins = np.asarray(self.wins, dtype=int)
-        ties = np.asarray(self.ties, dtype=int)
-        object.__setattr__(self, "wins", wins)
-        object.__setattr__(self, "ties", ties)
-        n = len(self.runs)
-        if wins.shape != (n, n) or ties.shape != (n, n):
-            raise ValidationError("tally matrices must be runs x runs")
-
-    def pair(self, i: int, j: int) -> tuple[int, int, int]:
-        return int(self.wins[i, j]), int(self.wins[j, i]), int(self.ties[i, j])
-
-
 # --- elementary distribution machinery -------------------------------------
 
 def _betacf(a: float, b: float, x: float) -> float:
@@ -410,60 +388,3 @@ def tukey_hsd(matrix: ScoreMatrix) -> np.ndarray:
             p[i, j] = p[j, i] = 1.0 - studentized_range_cdf(q, n_runs, df)
     return p
 
-
-# --- discriminative power ---------------------------------------------------
-
-def _pair_indices(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(i + 1, n)]
-
-
-def discriminative_power(
-    data: ScoreMatrix | PreferenceTallies,
-    method: str,
-    alpha: float = 0.05,
-) -> float:
-    """Fraction of run pairs reported significantly different at level alpha.
-
-    ``holm_t`` runs paired t-tests over a score matrix, ``holm_binomial``
-    exact sign tests over preference tallies (pairs with no decisive
-    requests count as insignificant), both Holm-corrected across all run
-    pairs; ``hsd`` uses the Tukey grid, which handles multiplicity itself.
-    """
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError(f"alpha must lie in (0, 1), got {alpha}")
-    if method == "holm_t":
-        if not isinstance(data, ScoreMatrix):
-            raise ValidationError("holm_t needs a ScoreMatrix")
-        pairs = _pair_indices(len(data.runs))
-        if not pairs:
-            raise ValidationError("need at least two runs")
-        ps = [paired_t_test(data.values[i], data.values[j]) for i, j in pairs]
-        adjusted = holm_bonferroni(ps)
-        return sum(p < alpha for p in adjusted) / len(pairs)
-    if method == "holm_binomial":
-        if not isinstance(data, PreferenceTallies):
-            raise ValidationError("holm_binomial needs PreferenceTallies")
-        pairs = _pair_indices(len(data.runs))
-        if not pairs:
-            raise ValidationError("need at least two runs")
-        ps = []
-        for i, j in pairs:
-            w_i, w_j, _ties = data.pair(i, j)
-            try:
-                ps.append(binomial_sign_test(w_i, w_j))
-            except UndefinedResultError:
-                logger.warning(
-                    "no decisive requests for pair (%s, %s); counted as insignificant",
-                    data.runs[i],
-                    data.runs[j],
-                )
-                ps.append(1.0)
-        adjusted = holm_bonferroni(ps)
-        return sum(p < alpha for p in adjusted) / len(pairs)
-    if method == "hsd":
-        if not isinstance(data, ScoreMatrix):
-            raise ValidationError("hsd needs a ScoreMatrix")
-        grid = tukey_hsd(data)
-        pairs = _pair_indices(len(data.runs))
-        return sum(grid[i, j] < alpha for i, j in pairs) / len(pairs)
-    raise ValidationError(f"unknown method {method!r}; use holm_t, holm_binomial, or hsd")

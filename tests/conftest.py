@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import lexirank
-from lexirank import RelevantPositions
+from lexirank import RelevantPositions, UserSubset, user_utility
 
 
 def subprocess_env() -> dict[str, str]:
@@ -72,6 +72,12 @@ def counting_reciprocal_rank(items, relevant) -> float:
 def random_positions(rng: np.random.Generator, corpus_size: int, m: int) -> RelevantPositions:
     picked = sorted(rng.choice(np.arange(1, corpus_size + 1), size=m, replace=False).tolist())
     return RelevantPositions.from_positions(picked, corpus_size)
+
+
+def recall_level_form(vec: RelevantPositions, exposure, normalization) -> float:
+    """The library's summation form over every recall level (not an oracle):
+    the utility of the user who wants all the relevant items."""
+    return user_utility(vec, UserSubset(tuple(range(1, vec.m + 1))), exposure, normalization)
 
 
 @pytest.fixture

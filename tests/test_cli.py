@@ -314,6 +314,22 @@ class TestDeterminismAndErrors:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric", ["rbp:abc", "recall@x", "mlr:abc", "tse:geometric:abc"])
+    def test_malformed_metric_parameter_fails_cleanly(self, tmp_path, capsys, metric):
+        out = tmp_path / "x.tsv"
+        assert run_cli(["eval", *data_args(out), "--metric", metric]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(metric) in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("fractions", ["0,abc", "", ","])
+    def test_malformed_degrade_fractions_fail_cleanly(self, tmp_path, capsys, fractions):
+        out = tmp_path / "x.tsv"
+        assert run_cli(["degrade", *data_args(out), "--fractions", fractions]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--fractions" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 def _outputs(runs, qrels, directory):
     """Bytes written by ``eval`` and ``compare --method lexirecall``."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import lexirank
 from lexirank import (
     ExposureModel,
     Imputation,
@@ -204,7 +205,7 @@ class TestDomainTypes:
     def test_preference_invariants(self):
         assert Preference.tie().is_tie
         assert Preference.first(2).sign == 1
-        assert Preference.second(1).flipped().sign == 1
+        assert Preference.second(1).sign == -1
         with pytest.raises(ValidationError):
             Preference.tie().__class__(Preference.tie().outcome, deciding_level=1)
 
@@ -255,3 +256,11 @@ class TestExposure:
     def test_labels(self):
         assert ExposureModel.geometric(0.8).label == "geometric(0.8)"
         assert ExposureModel.linear(50).label == "linear(50)"
+
+
+class TestExports:
+    def test_all_names_resolve_once(self):
+        names = lexirank.__all__
+        assert len(names) == len(set(names))
+        missing = [name for name in names if not hasattr(lexirank, name)]
+        assert missing == []

@@ -16,9 +16,7 @@ from lexirank import (
     evaluate,
     is_top_heavy,
     lexirecall_compare,
-    lexirecall_weights,
     metric_lexirecall,
-    recall_level_metric,
     tse,
 )
 
@@ -28,6 +26,7 @@ from conftest import (
     counting_reciprocal_rank,
     random_positions,
     ranking_with_relevant_at,
+    recall_level_form,
 )
 
 
@@ -35,9 +34,27 @@ def rp(positions, corpus_size):
     return RelevantPositions.from_positions(positions, corpus_size)
 
 
+def reference_lexirecall_weights(m, corpus_size, epsilon):
+    """The weights of ``metric_lexirecall`` built one ``Fraction`` at a time."""
+    delta = 1 / (corpus_size + epsilon)
+    one_plus = 1 + delta
+    weights = [delta ** (m - 1) / one_plus ** (m - 1)]
+    for i in range(2, m + 1):
+        weights.append(delta ** (m - i) / one_plus ** (m + 1 - i))
+    return weights
+
+
+def reference_metric_lexirecall(vec, epsilon):
+    D = vec.corpus_size
+    weights = reference_lexirecall_weights(vec.m, D, Fraction(epsilon))
+    return sum(
+        (w * Fraction(D - p, D) for w, p in zip(weights, vec.positions)), start=Fraction(0)
+    )
+
+
 class TestRecallLevelForm:
     def test_perfect_ranking_scores_one(self):
-        value = recall_level_metric(
+        value = recall_level_form(
             rp((1, 2), 10), ExposureModel.reciprocal(), NormalizationModel.ap()
         )
         assert value == pytest.approx(1.0)
@@ -46,7 +63,7 @@ class TestRecallLevelForm:
         items, relevant = ranking_with_relevant_at((2, 4), 4)
         oracle = counting_average_precision(items, relevant)
         assert oracle == pytest.approx(0.5)
-        value = recall_level_metric(
+        value = recall_level_form(
             rp((2, 4), 4), ExposureModel.reciprocal(), NormalizationModel.ap()
         )
         assert value == pytest.approx(oracle)
@@ -80,7 +97,7 @@ class TestRecallLevelForm:
             m = int(rng.integers(1, min(D, 8) + 1))
             vec = random_positions(rng, D, m)
             for metric, exposure, normalization in pairs:
-                assert recall_level_metric(vec, exposure, normalization) == pytest.approx(
+                assert recall_level_form(vec, exposure, normalization) == pytest.approx(
                     evaluate(metric, vec), abs=1e-12
                 )
 
@@ -152,6 +169,9 @@ class TestDispatch:
             MetricId.recall_at(0)
         with pytest.raises(ValidationError):
             MetricId.rbp(1.5)
+        for text in ("rbp:abc", "recall@x", "r@", "mlr:abc", "mlr:1/0", "tse:geometric:abc"):
+            with pytest.raises(ValidationError, match="in metric"):
+                MetricId.parse(text)
 
 
 class TestTotalSearchEfficiency:
@@ -192,7 +212,7 @@ class TestMetricLexirecall:
             eps = Fraction(int(rng.integers(1, 100)), 100)
             if eps == 1:
                 eps = Fraction(99, 100)
-            weights = lexirecall_weights(m, D, eps)
+            weights = reference_lexirecall_weights(m, D, eps)
             assert sum(weights) == 1
             assert all(weights[i] < weights[i + 1] for i in range(m - 1))
 
@@ -226,9 +246,21 @@ class TestMetricLexirecall:
                 sign = (diff > 0) - (diff < 0)
                 assert sign == lexirecall_compare(x, y).sign
 
+    def test_equals_fraction_weight_reference(self, rng):
+        cases = [(int(rng.integers(1, 2000)), None) for _ in range(40)]
+        cases += [(10**6, 200), (10**6, 50)]
+        for D, m in cases:
+            if m is None:
+                m = int(rng.integers(1, min(D, 30) + 1))
+            vec = random_positions(rng, D, m)
+            for eps in (Fraction(1, 2), Fraction(1, 100), Fraction(37, 100), Fraction(99, 100)):
+                assert metric_lexirecall(vec, eps) == reference_metric_lexirecall(vec, eps)
+        assert metric_lexirecall(vec, 0.25) == reference_metric_lexirecall(vec, 0.25)
+
     def test_epsilon_validation(self):
-        with pytest.raises(ValidationError):
-            metric_lexirecall(rp((1,), 5), Fraction(3, 2))
+        for eps in (Fraction(3, 2), 0, 1):
+            with pytest.raises(ValidationError):
+                metric_lexirecall(rp((1,), 5), eps)
         with pytest.raises(ValidationError):
             MetricId.metric_lexirecall(0)
 

@@ -20,10 +20,10 @@ from lexirank import (
     leximin_compare,
     lexirecall_compare,
     provider_utility,
-    recall_level_metric,
     user_utility,
 )
 
+from conftest import recall_level_form
 from rank_scenarios import contiguous_lift_case, retrieval_growth_case, swap_up_case
 
 EQ1_METRICS = [MetricId.ap(), MetricId.rr(), MetricId.ndcg(), MetricId.rbp(0.8)]
@@ -91,8 +91,8 @@ class TestMetricEdits:
         linear = ExposureModel.linear(base.corpus_size)
         uniform = NormalizationModel.uniform()
         assert (
-            recall_level_metric(extended, linear, uniform)
-            >= recall_level_metric(base, linear, uniform) - 1e-12
+            recall_level_form(extended, linear, uniform)
+            >= recall_level_form(base, linear, uniform) - 1e-12
         )
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -133,9 +133,7 @@ class TestMetricEdits:
 
     @given(position_vectors())
     def test_generic_form_agrees_with_dispatch(self, vec):
-        value = recall_level_metric(
-            vec, ExposureModel.reciprocal(), NormalizationModel.ap()
-        )
+        value = recall_level_form(vec, ExposureModel.reciprocal(), NormalizationModel.ap())
         assert abs(value - evaluate(MetricId.ap(), vec)) <= 1e-12
 
 
@@ -192,7 +190,7 @@ class TestSummationOrder:
             for i, level in enumerate(levels, start=1)
         )
         provider = _left_to_right(exposure.at(pos[level - 1]) for level in levels)
-        assert recall_level_metric(vec, exposure, norm).hex() == full.hex()
+        assert recall_level_form(vec, exposure, norm).hex() == full.hex()
         assert user_utility(vec, subset, exposure, norm).hex() == user.hex()
         assert provider_utility(vec, exposure, subset).hex() == provider.hex()
 

@@ -12,18 +12,17 @@ import scipy.special
 import scipy.stats
 
 from lexirank import (
-    PreferenceTallies,
     ScoreMatrix,
     UndefinedResultError,
     ValidationError,
     binomial_sign_test,
-    discriminative_power,
     holm_bonferroni,
     paired_t_test,
     studentized_range_cdf,
     tukey_hsd,
 )
 from lexirank import stats
+from lexirank.cli import main
 from lexirank.stats import regularized_incomplete_beta, t_two_sided_p
 
 from conftest import subprocess_env
@@ -345,63 +344,97 @@ class TestNormalCdf:
         assert got.tolist() == [0.0, 0.0, 0.5, 1.0, 1.0]
 
 
-def _ladder_tallies(n_runs=5, n_requests=60):
-    wins = np.zeros((n_runs, n_runs), dtype=int)
-    ties = np.zeros((n_runs, n_runs), dtype=int)
-    for i in range(n_runs):
-        for j in range(n_runs):
-            if i < j:
-                wins[i, j] = n_requests
-    return PreferenceTallies(tuple(f"run{i}" for i in range(n_runs)), wins, ties)
+def _compare(tmp_path, ranks, *flags, corpus_size=10):
+    """Rows of ``compare`` over runs that rank the whole corpus.
+
+    ``ranks[tag][q]`` is the rank of request q's one relevant item in run
+    ``tag``; the other ranks hold non-relevant fillers.
+    """
+    n_requests = len(next(iter(ranks.values())))
+    qrels = tmp_path / "qrels.txt"
+    qrels.write_text("".join(f"q{q:03d} 0 rel 1\n" for q in range(n_requests)))
+    argv = ["compare", "--qrels", qrels, "--corpus-size", corpus_size, *flags]
+    for tag, run_ranks in ranks.items():
+        lines = []
+        for q, relevant_rank in enumerate(run_ranks):
+            items = [f"doc{k}" for k in range(1, corpus_size)]
+            items.insert(relevant_rank - 1, "rel")
+            lines += [
+                f"q{q:03d} Q0 {item} {rank} {corpus_size - rank} {tag}"
+                for rank, item in enumerate(items, start=1)
+            ]
+        path = tmp_path / f"{tag}.txt"
+        path.write_text("\n".join(lines) + "\n")
+        argv += ["--runs", path]
+    out = tmp_path / "compare.tsv"
+    assert main([str(arg) for arg in [*argv, "--out", out]]) == 0
+    header, *rows = (line.split("\t") for line in out.read_text().splitlines())
+    return [dict(zip(header, row)) for row in rows]
+
+
+def _significant(rows):
+    """Discriminative power: the share of run pairs marked significant."""
+    return sum(row["significant"] == "true" for row in rows) / len(rows)
+
+
+def _ladder(n_runs=5, n_requests=60):
+    """Run i puts every relevant item at rank i + 1, so lower runs always lose."""
+    return {f"run{i}": [i + 1] * n_requests for i in range(n_runs)}
 
 
 class TestDiscriminativePower:
-    def test_identical_runs_zero_power(self):
-        base = np.tile(np.linspace(0.1, 0.9, 12), (3, 1))
-        matrix = ScoreMatrix(("a", "b", "c"), tuple(f"q{i}" for i in range(12)), base)
-        assert discriminative_power(matrix, "holm_t") == 0.0
-        assert discriminative_power(matrix, "hsd") == 0.0
+    """The paper's discriminative power is the share of ``compare`` rows that
+    are significant: Holm-corrected t or sign tests, or ``p_hsd < alpha``."""
 
-    def test_dominant_pair_fully_detected(self):
-        tallies = PreferenceTallies(
-            ("a", "b"), np.array([[0, 100], [0, 0]]), np.zeros((2, 2), dtype=int)
-        )
-        assert discriminative_power(tallies, "holm_binomial") == 1.0
+    def test_identical_runs_zero_power(self, tmp_path):
+        ranks = [1 + q % 9 for q in range(12)]
+        rows = _compare(tmp_path, {tag: ranks for tag in "abc"}, "--method", "metric:AP", "--hsd")
+        assert len(rows) == 3
+        assert _significant(rows) == 0.0
+        assert [row["p_hsd"] for row in rows] == ["1"] * 3
 
-    def test_undecided_pairs_count_as_insignificant(self):
-        tallies = PreferenceTallies(
-            ("a", "b"), np.zeros((2, 2), dtype=int), np.array([[0, 50], [50, 0]])
-        )
-        assert discriminative_power(tallies, "holm_binomial") == 0.0
+    def test_dominant_pair_fully_detected(self, tmp_path):
+        rows = _compare(tmp_path, _ladder(2, 100), "--method", "lexirecall")
+        assert rows[0]["wins_a"] == "100"
+        assert _significant(rows) == 1.0
 
-    def test_monotone_in_alpha(self, rng):
-        base = rng.uniform(0.3, 0.7, size=24)
-        rows = np.stack([base + shift + rng.normal(scale=0.08, size=24) for shift in (0.0, 0.05, 0.1, 0.3)])
-        matrix = ScoreMatrix(tuple("abcd"), tuple(f"q{i}" for i in range(24)), rows)
-        powers = [discriminative_power(matrix, "holm_t", alpha) for alpha in (0.001, 0.05, 0.5)]
+    def test_undecided_pairs_count_as_insignificant(self, tmp_path):
+        ranks = [1 + q % 9 for q in range(50)]
+        rows = _compare(tmp_path, {"a": ranks, "b": ranks}, "--method", "lexirecall")
+        assert rows[0]["ties"] == "50" and rows[0]["p_value"] == "1"
+        assert _significant(rows) == 0.0
+
+    def test_monotone_in_alpha(self, tmp_path, rng):
+        base = rng.integers(1, 12, size=24)
+        ranks = {
+            tag: np.clip(base + shift + rng.integers(-2, 3, size=24), 1, 20).tolist()
+            for tag, shift in zip("abcd", (0, 1, 2, 6))
+        }
+        powers = []
+        for alpha in ("0.001", "0.05", "0.5"):
+            flags = ("--method", "metric:AP", "--alpha", alpha)
+            powers.append(_significant(_compare(tmp_path, ranks, *flags, corpus_size=20)))
         assert powers == sorted(powers)
+        assert powers[0] < powers[-1]
 
-    def test_preference_route_beats_saturated_metric_when_deep(self):
+    def test_preference_route_beats_saturated_metric_when_deep(self, tmp_path):
         # Full-depth retrieval saturates a recall cutoff at the corpus size,
         # so its score-based power collapses while the positional preference
         # still separates a cleanly ordered ladder of runs.
-        n_runs, n_requests = 5, 60
-        tallies = _ladder_tallies(n_runs, n_requests)
-        lexi_power = discriminative_power(tallies, "holm_binomial")
-        saturated = np.ones((n_runs, n_requests))
-        matrix = ScoreMatrix(
-            tuple(f"run{i}" for i in range(n_runs)),
-            tuple(f"q{i}" for i in range(n_requests)),
-            saturated,
-        )
-        cutoff_power = discriminative_power(matrix, "holm_t")
-        assert lexi_power >= cutoff_power
+        lexi_power = _significant(_compare(tmp_path, _ladder(), "--method", "lexirecall"))
+        cutoff_power = _significant(_compare(tmp_path, _ladder(), "--method", "metric:recall@10"))
         assert lexi_power == 1.0 and cutoff_power == 0.0
 
-    def test_input_type_validation(self):
-        with pytest.raises(ValidationError):
-            discriminative_power(_ladder_tallies(), "holm_t")
-        with pytest.raises(ValidationError):
-            discriminative_power(_ladder_tallies(), "nope")
-        with pytest.raises(ValidationError):
-            discriminative_power(_ladder_tallies(), "holm_binomial", alpha=1.5)
+    def test_input_type_validation(self, tmp_path, capsys):
+        fixtures = Path(__file__).parent / "fixtures"
+        out = tmp_path / "x.tsv"
+        argv = ["compare", "--qrels", fixtures / "qrels.txt", "--corpus-size", 50, "--out", out]
+        for name in ("run_a.txt", "run_b.txt"):
+            argv += ["--runs", fixtures / name]
+        bad_flags = [("--method", "nope"), ("--alpha", "0"), ("--alpha", "1"), ("--alpha", "7")]
+        for flags in bad_flags:
+            assert main([str(arg) for arg in [*argv, *flags]]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "Traceback" not in err
+            assert not out.exists()
+        assert "--alpha must lie in (0, 1), got 7.0" in err
