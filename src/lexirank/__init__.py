@@ -23,7 +23,6 @@ from .core import (
     Imputation,
     JudgmentSet,
     Preference,
-    PreferenceOutcome,
     RankedList,
     RelevantPositions,
     project_and_impute,
@@ -89,7 +88,6 @@ __all__ = [
     "NormalizationModel",
     "ParseError",
     "Preference",
-    "PreferenceOutcome",
     "RankedList",
     "RelevantPositions",
     "ScoreMatrix",

@@ -214,11 +214,15 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _m_values(args) -> list[int]:
-    if args.m:
-        return sorted(set(args.m))
+def _m_range(args) -> range:
     lo, hi = args.m_range
-    return list(range(lo, hi + 1))
+    if lo > hi:
+        raise ValidationError(f"--m-range LO HI needs LO <= HI, got {lo} {hi}")
+    return range(lo, hi + 1)
+
+
+def _m_values(args) -> list[int]:
+    return sorted(set(args.m)) if args.m else list(_m_range(args))
 
 
 def cmd_ties(args) -> int:
@@ -305,8 +309,7 @@ def cmd_simulate_agreement(args) -> int:
 
 def cmd_orientation(args) -> int:
     rows = []
-    lo, hi = args.m_range
-    for m in range(lo, hi + 1):
+    for m in _m_range(args):
         for text in args.metric:
             metric = MetricId.parse(text, args.corpus_size)
             precision, recall = analytics.orientation(metric, args.corpus_size, m)
@@ -372,7 +375,7 @@ def _add_data_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--imputation",
-        choices=[mode.value for mode in Imputation if mode is not Imputation.NONE],
+        choices=[mode.value for mode in Imputation],
         default=Imputation.PESSIMISTIC.value,
     )
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnevaluableRequestError, ValidationError
@@ -27,7 +27,6 @@ class Imputation(str, Enum):
 
     PESSIMISTIC = "pessimistic"
     OPTIMISTIC = "optimistic"
-    NONE = "none"
 
 
 @dataclass(frozen=True)
@@ -90,17 +89,10 @@ class JudgmentSet:
 
 @dataclass(frozen=True)
 class RelevantPositions:
-    """Sorted 1-based positions of the relevant items in one ranking.
-
-    ``retrieved_count`` says how many of the positions came from the actual
-    retrieved prefix; the remaining trailing entries were imputed according
-    to ``imputation``.
-    """
+    """Sorted 1-based positions of the relevant items in one ranking of a corpus of D."""
 
     positions: tuple[int, ...]
     corpus_size: int
-    retrieved_count: int
-    imputation: Imputation = Imputation.NONE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
@@ -108,41 +100,22 @@ class RelevantPositions:
         D = self.corpus_size
         if D < 1:
             raise ValidationError(f"corpus_size must be positive, got {D}")
-        m = len(pos)
         prev = 0
         for p in pos:
             if p <= prev:
                 raise ValidationError(f"positions must be strictly increasing, got {pos}")
             prev = p
-        if m and pos[-1] > D:
+        if pos and pos[-1] > D:
             raise ValidationError(f"last position {pos[-1]} exceeds corpus_size {D}")
-        if not 0 <= self.retrieved_count <= m:
-            raise ValidationError(
-                f"retrieved_count {self.retrieved_count} outside [0, {m}]"
-            )
-        if self.imputation is Imputation.PESSIMISTIC:
-            missing = m - self.retrieved_count
-            for j in range(missing):
-                expected = D - missing + 1 + j
-                if pos[self.retrieved_count + j] != expected:
-                    raise ValidationError(
-                        "pessimistic tail must occupy the bottom positions "
-                        f"{D - missing + 1}..{D}, got {pos}"
-                    )
-        elif self.imputation is Imputation.NONE and self.retrieved_count != m:
-            raise ValidationError("without imputation every position must be retrieved")
 
     @property
     def m(self) -> int:
         return len(self.positions)
 
     @classmethod
-    def from_positions(
-        cls, positions: Iterable[int], corpus_size: int
-    ) -> "RelevantPositions":
+    def from_positions(cls, positions: Iterable[int], corpus_size: int) -> "RelevantPositions":
         """Wrap a fully observed position vector (no imputation needed)."""
-        pos = tuple(positions)
-        return cls(pos, corpus_size, len(pos), Imputation.NONE)
+        return cls(positions, corpus_size)
 
     @classmethod
     def worst_case(
@@ -158,7 +131,7 @@ class RelevantPositions:
         if not 1 <= m <= corpus_size:
             raise ValidationError(f"need 1 <= m <= corpus_size, got m={m}, D={corpus_size}")
         tail = range(corpus_size - m + len(retrieved) + 1, corpus_size + 1)
-        return cls((*retrieved, *tail), corpus_size, len(retrieved), Imputation.PESSIMISTIC)
+        return cls((*retrieved, *tail), corpus_size)
 
 
 class ExposureKind(str, Enum):
@@ -233,49 +206,20 @@ class ExposureModel:
         return self.kind.value
 
 
-class PreferenceOutcome(Enum):
-    PREFER_FIRST = 1
-    PREFER_SECOND = -1
+class Preference(IntEnum):
+    """Three-valued outcome of comparing two rankings; the value is its sign."""
+
+    FIRST = 1
+    SECOND = -1
     TIE = 0
-
-
-@dataclass(frozen=True)
-class Preference:
-    """Three-valued outcome of comparing two rankings.
-
-    ``deciding_level`` is the recall level at which a positional comparison
-    was decided; whole-metric comparisons carry no level.
-    """
-
-    outcome: PreferenceOutcome
-    deciding_level: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.deciding_level is not None:
-            if self.outcome is PreferenceOutcome.TIE:
-                raise ValidationError("a tie has no deciding level")
-            if self.deciding_level < 1:
-                raise ValidationError("deciding_level is 1-based")
-
-    @classmethod
-    def first(cls, deciding_level: int | None = None) -> "Preference":
-        return cls(PreferenceOutcome.PREFER_FIRST, deciding_level)
-
-    @classmethod
-    def second(cls, deciding_level: int | None = None) -> "Preference":
-        return cls(PreferenceOutcome.PREFER_SECOND, deciding_level)
-
-    @classmethod
-    def tie(cls) -> "Preference":
-        return cls(PreferenceOutcome.TIE)
 
     @property
     def sign(self) -> int:
-        return self.outcome.value
+        return int(self)
 
     @property
     def is_tie(self) -> bool:
-        return self.outcome is PreferenceOutcome.TIE
+        return self is Preference.TIE
 
 
 def project_and_impute(
@@ -287,8 +231,7 @@ def project_and_impute(
 
     Retrieved relevant items keep their 1-based ranks. Unretrieved relevant
     items go to the very bottom of the corpus (pessimistic, the default) or
-    directly below the retrieved prefix (optimistic). ``mode=NONE`` keeps
-    only the retrieved positions.
+    directly below the retrieved prefix (optimistic).
 
     Raises :class:`UnevaluableRequestError` when the judgment set is empty
     and :class:`ValidationError` when the imputed block cannot fit.
@@ -318,15 +261,11 @@ def project_and_impute(
                 f"cannot impute {missing} items below a prefix of {k} in a corpus of {D}"
             )
         return RelevantPositions.worst_case(m, D, ranks)
-    if mode is Imputation.OPTIMISTIC:
-        if k + missing > D:
-            raise ValidationError(
-                f"cannot place {missing} items after a prefix of {k} in a corpus of {D}"
-            )
-        tail = range(k + 1, k + missing + 1)
-    else:
-        tail = range(0)
-    return RelevantPositions((*ranks, *tail), D, len(ranks), mode)
+    if k + missing > D:
+        raise ValidationError(
+            f"cannot place {missing} items after a prefix of {k} in a corpus of {D}"
+        )
+    return RelevantPositions((*ranks, *range(k + 1, k + missing + 1)), D)
 
 
 def project_runs(

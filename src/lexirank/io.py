@@ -21,7 +21,7 @@ import math
 import os
 import stat
 from pathlib import Path
-from typing import IO, Iterable, Mapping, NamedTuple, Sequence
+from typing import IO, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,12 +39,6 @@ _BLOCK_CHARS = 1 << 16
 _ASCII_WHITESPACE = np.zeros(256, dtype=bool)
 _ASCII_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
 _ASCII_WHITESPACE.setflags(write=False)
-
-
-class RunFileRecord(NamedTuple):
-    item_id: str
-    rank: int
-    score: float
 
 
 def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
@@ -177,7 +171,7 @@ def _parse_run_lines(
     raises at the first bad line in file order.
     """
     spath = str(path)
-    records: dict[str, list[RunFileRecord]] = {}
+    records: dict[str, list[tuple[float, str, int]]] = {}
     seen: set[tuple[str, str]] = set()
     system_tag: str | None = None
     for number, line in _read_lines(path):
@@ -212,20 +206,19 @@ def _parse_run_lines(
                 line=number,
             )
         seen.add(key)
-        records.setdefault(request_id, []).append(
-            RunFileRecord(item_id, rank, score)
-        )
+        records.setdefault(request_id, []).append((-score, item_id, rank))
 
     out: dict[str, RankedList] = {}
     rank_mismatches = 0
     for request_id, recs in records.items():
-        recs.sort(key=lambda r: (-r.score, r.item_id))
-        for position, rec in enumerate(recs, start=1):
-            if rec.rank != position:
+        # Score descending, then item id; ids are unique, so the rank never decides.
+        recs.sort()
+        for position, (_, _, rank) in enumerate(recs, start=1):
+            if rank != position:
                 rank_mismatches += 1
         out[request_id] = RankedList(
             request_id=request_id,
-            items=tuple(rec.item_id for rec in recs),
+            items=tuple(item_id for _, item_id, _ in recs),
             corpus_size=corpus_size,
             system_tag=system_tag,
         )

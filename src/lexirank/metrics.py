@@ -115,6 +115,17 @@ _DEFAULT_K = 1000
 _DEFAULT_EPSILON = Fraction(1, 2)
 
 
+def _epsilon(value: Fraction | float) -> Fraction:
+    """An exact epsilon in (0, 1); a float is read as its shortest decimal repr."""
+    try:
+        eps = Fraction(repr(float(value)) if isinstance(value, float) else value)
+    except ValueError:
+        raise ValidationError(f"epsilon must lie in (0,1), got {value}") from None
+    if not 0 < eps < 1:
+        raise ValidationError(f"epsilon must lie in (0,1), got {eps}")
+    return eps
+
+
 def _parameter(convert, value: str, text: str):
     """``convert(value)``, with a malformed value reported against the metric ``text``."""
     try:
@@ -145,9 +156,7 @@ class MetricId:
                 raise ValidationError(f"recall@k needs k >= 1, got {k}")
             object.__setattr__(self, "k", k)
         if self.kind is MetricKind.METRIC_LEXIRECALL:
-            eps = Fraction(self.epsilon) if self.epsilon is not None else _DEFAULT_EPSILON
-            if not 0 < eps < 1:
-                raise ValidationError(f"epsilon must lie in (0,1), got {eps}")
+            eps = _epsilon(self.epsilon) if self.epsilon is not None else _DEFAULT_EPSILON
             object.__setattr__(self, "epsilon", eps)
         if self.kind is MetricKind.TSE and self.exposure is None:
             object.__setattr__(self, "exposure", ExposureModel.reciprocal())
@@ -190,7 +199,7 @@ class MetricId:
 
     @classmethod
     def metric_lexirecall(cls, epsilon: Fraction | float = _DEFAULT_EPSILON) -> "MetricId":
-        return cls(MetricKind.METRIC_LEXIRECALL, epsilon=Fraction(epsilon))
+        return cls(MetricKind.METRIC_LEXIRECALL, epsilon=epsilon)
 
     @property
     def higher_is_better(self) -> bool:
@@ -295,9 +304,7 @@ def metric_lexirecall(
     m = rp.m
     if m == 0:
         raise UnevaluableRequestError("no relevant positions to score")
-    eps = Fraction(epsilon)
-    if not 0 < eps < 1:
-        raise ValidationError(f"epsilon must lie in (0,1), got {eps}")
+    eps = _epsilon(epsilon)
     a, b = eps.numerator, eps.denominator
     D = rp.corpus_size
     M = b * D + a

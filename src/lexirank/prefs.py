@@ -13,6 +13,7 @@ Four comparison routes with increasing resolution:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -47,16 +48,12 @@ class UtilityVector:
 
 
 def _bottom_up(xs: Sequence, ys: Sequence, larger_wins: bool) -> Preference:
-    """Decide at the last index where two equal-length vectors differ.
-
-    ``deciding_level`` is that index, 1-based from the top.
-    """
+    """Decide at the last index where two equal-length vectors differ."""
     for i in range(len(xs) - 1, -1, -1):
         a, b = xs[i], ys[i]
         if a != b:
-            level = i + 1
-            return Preference.first(level) if (a > b) == larger_wins else Preference.second(level)
-    return Preference.tie()
+            return Preference.FIRST if (a > b) == larger_wins else Preference.SECOND
+    return Preference.TIE
 
 
 def leximin_compare(x: UtilityVector, y: UtilityVector) -> Preference:
@@ -104,8 +101,8 @@ def tse_compare(rpx: RelevantPositions, rpy: RelevantPositions) -> Preference:
     _check_same_request(rpx, rpy)
     a, b = rpx.positions[-1], rpy.positions[-1]
     if a == b:
-        return Preference.tie()
-    return Preference.first(rpx.m) if a < b else Preference.second(rpx.m)
+        return Preference.TIE
+    return Preference.FIRST if a < b else Preference.SECOND
 
 
 def metric_compare(
@@ -119,19 +116,20 @@ def metric_compare(
     Values within ``tolerance`` of each other tie. Effort metrics (ESL3,
     recall error) are oriented so that the better ranking is still reported
     as preferred. The exact-arithmetic metric is compared as a rational, so
-    ``tolerance=0`` is meaningful there.
+    ``tolerance=0`` is meaningful there. The tolerance must be a finite
+    number >= 0.
     """
-    if tolerance < 0:
-        raise ValidationError(f"tolerance must be non-negative, got {tolerance}")
+    if not 0 <= tolerance < math.inf:
+        raise ValidationError(f"tolerance must be a finite non-negative number, got {tolerance}")
     _check_same_request(rpx, rpy)
     a = exact_value(metric, rpx)
     b = exact_value(metric, rpy)
     diff = a - b
     tol = Fraction(tolerance) if isinstance(diff, Fraction) else tolerance
     if abs(diff) <= tol:
-        return Preference.tie()
+        return Preference.TIE
     better_first = (diff > 0) == metric.higher_is_better
-    return Preference.first() if better_first else Preference.second()
+    return Preference.FIRST if better_first else Preference.SECOND
 
 
 PreferenceFn = Callable[[RelevantPositions, RelevantPositions], Preference]

@@ -15,13 +15,17 @@ from lexirank import RelevantPositions
 
 
 def _vector(positions, corpus_size, retrieved=None):
+    """The vector of ``positions``; with ``retrieved``, built as a pessimistic tail.
+
+    ``RelevantPositions.worst_case`` places everything after the first
+    ``retrieved`` positions, and the result must be the positions computed here.
+    """
+    positions = tuple(positions)
     if retrieved is None:
         return RelevantPositions.from_positions(positions, corpus_size)
-    from lexirank import Imputation
-
-    return RelevantPositions(
-        tuple(positions), corpus_size, retrieved, Imputation.PESSIMISTIC
-    )
+    vec = RelevantPositions.worst_case(len(positions), corpus_size, positions[:retrieved])
+    assert vec.positions == positions, (positions, retrieved)
+    return vec
 
 
 def retrieval_growth_case(rng: np.random.Generator, force: str | None = None):

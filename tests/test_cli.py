@@ -331,6 +331,38 @@ class TestDeterminismAndErrors:
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "command",
+        [["compare", "--method", "metric:mlr"], ["compare", "--method", "metric:AP"],
+         ["simulate-agreement"]],
+        ids=["compare-mlr", "compare-AP", "simulate-agreement"],
+    )
+    def test_bad_tolerance_fails_cleanly(self, tmp_path, capsys, command, tolerance):
+        out = tmp_path / "x.tsv"
+        if command[0] == "compare":
+            argv = [*command, *data_args(out)]
+        else:
+            argv = [*command, "--corpus-size", "200", "--pairs", "50", "--out", out]
+        assert run_cli([*argv, f"--tolerance={tolerance}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "tolerance" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["ties", "--mode", "analytic"], ["ties", "--mode", "empirical"], ["orientation"]],
+        ids=["ties-analytic", "ties-empirical", "orientation"],
+    )
+    def test_reversed_m_range_fails_cleanly(self, tmp_path, capsys, command):
+        out = tmp_path / "x.tsv"
+        argv = [*command, "--corpus-size", "100", "--m-range", "5", "3", "--out", out]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--m-range" in err and "Traceback" not in err
+        assert not out.exists()
+
+
 def _outputs(runs, qrels, directory):
     """Bytes written by ``eval`` and ``compare --method lexirecall``."""
     data = []

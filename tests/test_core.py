@@ -1,5 +1,7 @@
 """Projection, imputation, exposure models, and the domain types."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -34,10 +36,9 @@ class TestProjection:
             make_ranking(["d5", "d2", "d9", "d1"], 4), make_judgments({"d2", "d1"})
         )
         assert rp.positions == (2, 4)
-        assert rp.retrieved_count == 2
         # Inverse projection: the items at the retrieved positions.
         items = ["d5", "d2", "d9", "d1"]
-        assert [items[p - 1] for p in rp.positions[: rp.retrieved_count]] == ["d2", "d1"]
+        assert [items[p - 1] for p in rp.positions] == ["d2", "d1"]
 
     def test_partial_retrieval_bottom_imputation(self):
         # 3 of 6 relevant in a top-10 prefix at ranks 2, 3, 8.
@@ -45,8 +46,7 @@ class TestProjection:
         judgments = make_judgments({"r1", "r2", "r3", "x1", "x2", "x3"})
         rp = project_and_impute(make_ranking(items, 30), judgments)
         assert rp.positions == (2, 3, 8, 28, 29, 30)
-        assert rp.retrieved_count == 3
-        assert rp.imputation is Imputation.PESSIMISTIC
+        assert rp == RelevantPositions.worst_case(6, 30, (2, 3, 8))
 
     def test_small_corpus_example(self):
         rp = project_and_impute(
@@ -75,22 +75,14 @@ class TestProjection:
             Imputation.OPTIMISTIC,
         )
         assert rp.positions == (2, 4, 5)
-        assert rp.imputation is Imputation.OPTIMISTIC
-
-    def test_none_mode_keeps_only_retrieved(self):
-        rp = project_and_impute(
-            make_ranking(["d5", "d2", "d9"], 100),
-            make_judgments({"d2", "d1", "d7"}),
-            Imputation.NONE,
-        )
-        assert rp.positions == (2,)
-        assert rp.retrieved_count == 1
 
     def test_idempotent_on_complete_rankings(self):
         items, relevant = ranking_with_relevant_at((1, 4, 6), 8)
         rp = project_and_impute(make_ranking(items, 8), make_judgments(relevant))
-        assert rp.positions == (1, 4, 6)
-        assert rp.retrieved_count == rp.m
+        assert rp == RelevantPositions((1, 4, 6), 8)
+        assert rp == project_and_impute(
+            make_ranking(items, 8), make_judgments(relevant), Imputation.OPTIMISTIC
+        )
 
     def test_round_trip_recovers_ranks(self, rng):
         for _ in range(50):
@@ -177,37 +169,30 @@ class TestDomainTypes:
 
     def test_positions_must_increase(self):
         with pytest.raises(ValidationError):
-            RelevantPositions((3, 3), 10, 2)
+            RelevantPositions((3, 3), 10)
 
     def test_positions_must_fit_corpus(self):
         with pytest.raises(ValidationError):
-            RelevantPositions((5, 11), 10, 2)
-
-    def test_pessimistic_tail_is_checked(self):
-        with pytest.raises(ValidationError):
-            RelevantPositions((2, 7), 10, retrieved_count=1, imputation=Imputation.PESSIMISTIC)
+            RelevantPositions((5, 11), 10)
 
     def test_worst_case_constructor(self):
         rp = RelevantPositions.worst_case(3, 10)
-        assert rp.positions == (8, 9, 10)
-        assert rp.retrieved_count == 0
+        assert rp == RelevantPositions((8, 9, 10), 10)
 
     def test_worst_case_keeps_retrieved_prefix(self):
         rp = RelevantPositions.worst_case(4, 10, (2, 5))
-        assert rp.positions == (2, 5, 9, 10)
-        assert rp.retrieved_count == 2
-        assert rp.imputation is Imputation.PESSIMISTIC
+        assert rp == RelevantPositions((2, 5, 9, 10), 10)
         full = RelevantPositions.worst_case(2, 10, (2, 5))
         assert full.positions == (2, 5)
         with pytest.raises(ValidationError):
             RelevantPositions.worst_case(11, 10)
 
     def test_preference_invariants(self):
-        assert Preference.tie().is_tie
-        assert Preference.first(2).sign == 1
-        assert Preference.second(1).sign == -1
-        with pytest.raises(ValidationError):
-            Preference.tie().__class__(Preference.tie().outcome, deciding_level=1)
+        assert Preference.TIE.is_tie
+        assert not Preference.FIRST.is_tie and not Preference.SECOND.is_tie
+        assert [p.sign for p in Preference] == [1, -1, 0]
+        assert all(Preference(p.sign) is p for p in Preference)
+        assert all(type(p.sign) is int for p in Preference)
 
 
 class TestExposure:
@@ -264,3 +249,15 @@ class TestExports:
         assert len(names) == len(set(names))
         missing = [name for name in names if not hasattr(lexirank, name)]
         assert missing == []
+
+    def test_readme_quickstart_prints_what_it_claims(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Library quickstart", 1)[1]
+        block = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(block, "README.md", "exec"), {})
+        claims = [
+            line.split("  # ", 1)[1].strip()
+            for line in block.splitlines()
+            if line.startswith("print(")
+        ]
+        assert capsys.readouterr().out.splitlines() == claims

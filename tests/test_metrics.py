@@ -144,9 +144,9 @@ class TestDispatch:
             assert evaluate(MetricId.ndcg(), vec) == 1.0
 
     def test_empty_vector_is_unevaluable(self):
-        from lexirank import Imputation, UnevaluableRequestError
+        from lexirank import UnevaluableRequestError
 
-        empty = RelevantPositions((), 10, 0, Imputation.NONE)
+        empty = RelevantPositions((), 10)
         with pytest.raises(UnevaluableRequestError):
             evaluate(MetricId.ap(), empty)
         with pytest.raises(UnevaluableRequestError):
@@ -258,11 +258,22 @@ class TestMetricLexirecall:
         assert metric_lexirecall(vec, 0.25) == reference_metric_lexirecall(vec, 0.25)
 
     def test_epsilon_validation(self):
-        for eps in (Fraction(3, 2), 0, 1):
+        for eps in (Fraction(3, 2), 0, 1, float("nan"), float("inf")):
             with pytest.raises(ValidationError):
                 metric_lexirecall(rp((1,), 5), eps)
-        with pytest.raises(ValidationError):
-            MetricId.metric_lexirecall(0)
+            with pytest.raises(ValidationError):
+                MetricId.metric_lexirecall(eps)
+
+    def test_float_epsilon_reads_as_its_decimal(self, rng):
+        from_float = MetricId.metric_lexirecall(0.1)
+        parsed = MetricId.parse("mlr:0.1")
+        assert from_float == parsed
+        assert from_float.epsilon == Fraction(1, 10)
+        vec = random_positions(rng, 10**6, 50)
+        score = metric_lexirecall(vec, parsed.epsilon)
+        assert metric_lexirecall(vec, from_float.epsilon) == score
+        assert metric_lexirecall(vec, 0.1) == score
+        assert score != metric_lexirecall(vec, Fraction(0.1))
 
     def test_float_view_through_dispatch(self):
         vec = rp((3,), 10)

@@ -9,7 +9,7 @@ from lexirank import (
     ExposureModel,
     MetricId,
     NormalizationModel,
-    PreferenceOutcome,
+    Preference,
     RelevantPositions,
     UtilityVector,
     ValidationError,
@@ -34,9 +34,10 @@ class TestLeximin:
     def test_decides_at_first_bottom_up_difference(self):
         x = UtilityVector((0.9, 0.12, 0.04, 0.01))
         y = UtilityVector((0.9, 0.07, 0.04, 0.01))
-        pref = leximin_compare(x, y)
-        assert pref.outcome is PreferenceOutcome.PREFER_FIRST
-        assert pref.deciding_level == 2  # third from the bottom
+        assert leximin_compare(x, y) is Preference.FIRST
+        # The level above the deciding one is never read.
+        z = UtilityVector((0.8, 0.12, 0.04, 0.01))
+        assert leximin_compare(z, y) is Preference.FIRST
 
     def test_equal_vectors_tie(self):
         x = UtilityVector((0.5, 0.25, 0.1))
@@ -44,8 +45,7 @@ class TestLeximin:
 
     def test_bottom_element_dominates(self):
         pref = leximin_compare(UtilityVector((0.9, 0.1)), UtilityVector((0.8, 0.2)))
-        assert pref.outcome is PreferenceOutcome.PREFER_SECOND
-        assert pref.deciding_level == 2
+        assert pref is Preference.SECOND
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -62,12 +62,10 @@ class TestLeximin:
 class TestLexirecall:
     def test_definitional_cases(self):
         pref = lexirecall_compare(rp((1, 5, 9), 10), rp((2, 3, 9), 10))
-        assert pref.outcome is PreferenceOutcome.PREFER_SECOND
-        assert pref.deciding_level == 2
+        assert pref is Preference.SECOND
 
         pref = lexirecall_compare(rp((2, 3, 8), 10), rp((2, 3, 9), 10))
-        assert pref.outcome is PreferenceOutcome.PREFER_FIRST
-        assert pref.deciding_level == 3
+        assert pref is Preference.FIRST
 
         assert lexirecall_compare(rp((2, 4), 10), rp((2, 4), 10)).is_tie
 
@@ -129,7 +127,7 @@ class TestLexirecall:
             base = tuple(retrieved) + tuple(range(D - missing + 1, D + 1))
             extended = tuple(retrieved) + (k + 1,) + tuple(range(D - missing + 2, D + 1))
             pref = lexirecall_compare(rp(extended, D), rp(base, D))
-            assert pref.outcome is PreferenceOutcome.PREFER_FIRST
+            assert pref is Preference.FIRST
 
     def test_appending_nonrelevant_item_ties(self):
         # The position vector does not change, so the comparison must tie.
@@ -162,8 +160,7 @@ class TestTseCompare:
 
     def test_decides_on_bottom_position(self):
         pref = tse_compare(rp((1, 8), 10), rp((5, 9), 10))
-        assert pref.outcome is PreferenceOutcome.PREFER_FIRST
-        assert pref.deciding_level == 2
+        assert pref is Preference.FIRST
 
     def test_lexirecall_refines_it_exhaustively(self):
         D, m = 10, 3
@@ -188,22 +185,24 @@ class TestMetricCompare:
 
     def test_strict_difference_decides(self):
         pref = metric_compare(MetricId.ap(), rp((1, 2), 10), rp((2, 4), 10))
-        assert pref.outcome is PreferenceOutcome.PREFER_FIRST
+        assert pref is Preference.FIRST
         assert evaluate(MetricId.ap(), rp((1, 2), 10)) == pytest.approx(1.0)
         assert evaluate(MetricId.ap(), rp((2, 4), 10)) == pytest.approx(0.5)
 
     def test_effort_metrics_prefer_smaller(self):
         pref = metric_compare(MetricId.esl3(), rp((1, 3), 30), rp((1, 9), 30))
-        assert pref.outcome is PreferenceOutcome.PREFER_FIRST
+        assert pref is Preference.FIRST
 
     def test_tolerance_validation(self):
-        with pytest.raises(ValidationError):
-            metric_compare(MetricId.ap(), rp((1,), 5), rp((2,), 5), tolerance=-1.0)
+        for metric in (MetricId.ap(), MetricId.metric_lexirecall()):
+            for tolerance in (-1.0, float("nan"), float("inf")):
+                with pytest.raises(ValidationError):
+                    metric_compare(metric, rp((1,), 5), rp((2,), 5), tolerance=tolerance)
 
     def test_exact_metric_compare_with_zero_tolerance(self):
         exact = MetricId.metric_lexirecall()
         pref = metric_compare(exact, rp((1, 9), 10), rp((5, 9), 10), tolerance=0.0)
-        assert pref.outcome is PreferenceOutcome.PREFER_FIRST
+        assert pref is Preference.FIRST
 
 
 class TestMethodResolution:

@@ -2,7 +2,7 @@
 
 import math
 import operator
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,6 +12,7 @@ from lexirank import (
     ExposureModel,
     MetricId,
     NormalizationModel,
+    Preference,
     RelevantPositions,
     UserSubset,
     UtilityVector,
@@ -19,7 +20,9 @@ from lexirank import (
     holm_bonferroni,
     leximin_compare,
     lexirecall_compare,
+    metric_compare,
     provider_utility,
+    tse_compare,
     user_utility,
 )
 
@@ -53,7 +56,13 @@ class TestOrderStructure:
     @given(vector_pairs())
     def test_comparison_is_antisymmetric(self, pair):
         x, y = pair
-        assert lexirecall_compare(x, y).sign == -lexirecall_compare(y, x).sign
+        for compare in (
+            lexirecall_compare,
+            tse_compare,
+            partial(metric_compare, MetricId.ap()),
+            partial(metric_compare, MetricId.metric_lexirecall()),
+        ):
+            assert compare(y, x) is Preference(-compare(x, y).sign)
 
     @given(vector_pairs())
     def test_tie_means_identical(self, pair):
