@@ -14,8 +14,8 @@ The generic summation form, ``robustness.user_utility``, needs numpy and is
 pinned to a left-to-right reference by the test suite instead.
 Without arguments, every ``python3.N`` on PATH and every pyenv version from
 3.10 on is tried; one that cannot run the modules is reported and skipped.
-The exit status is 1 when any score differs. Not part of the test suite: it needs
-several interpreters.
+The exit status is 1 when any score differs. The test suite runs it under the
+local interpreters that lack numpy, and skips that test when there is none.
 """
 
 from __future__ import annotations

@@ -43,7 +43,6 @@ from .metrics import (
     NormalizationKind,
     NormalizationModel,
     evaluate,
-    is_top_heavy,
     metric_lexirecall,
     tse,
 )
@@ -104,7 +103,6 @@ __all__ = [
     "enumerate_users",
     "evaluate",
     "holm_bonferroni",
-    "is_top_heavy",
     "leximin_compare",
     "lexirecall_compare",
     "make_method",

@@ -1,0 +1,26 @@
+"""numpy, imported on the first attribute access.
+
+The closed forms behind ``ties --mode analytic`` and ``orientation`` use
+only ``math`` and ``fractions``, so commands that run nothing else never pay
+for numpy's import. Modules write ``from ._numpy import np`` and must not
+touch ``np`` at import time.
+"""
+
+import importlib.util
+import sys
+
+
+def _lazy_numpy():
+    if "numpy" in sys.modules:
+        return sys.modules["numpy"]
+    spec = importlib.util.find_spec("numpy")
+    if spec is None:
+        raise ModuleNotFoundError("No module named 'numpy'", name="numpy")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules["numpy"] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+np = _lazy_numpy()

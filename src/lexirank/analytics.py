@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .core import Imputation, JudgmentSet, RankedList, RelevantPositions, project_runs
 from .errors import UndefinedResultError, ValidationError
 from .metrics import MetricId, MetricKind, evaluate

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import analytics, io as tables, stats
+from ._numpy import np
 from .core import Imputation, RankedList, project_runs
 from .errors import LexirankError, UndefinedResultError, ValidationError
 from .metrics import MetricId, evaluate
@@ -458,6 +458,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "degrade" and not args.method:
         args.method = list(_DEFAULT_DEGRADE_METHODS)
     try:
+        # Checked once here: lexirecall, the random coin and the closed forms
+        # never read the tolerance, so a bad value would pass unreported.
+        if "tolerance" in args and not 0 <= args.tolerance < math.inf:
+            raise ValidationError(
+                f"tolerance must be a finite non-negative number, got {args.tolerance}"
+            )
         return args.func(args)
     except (LexirankError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ All types are immutable after construction and all functions are pure.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
@@ -95,16 +96,13 @@ class RelevantPositions:
     corpus_size: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "positions", tuple(int(p) for p in self.positions))
-        pos = self.positions
+        pos = tuple(map(int, self.positions))
+        object.__setattr__(self, "positions", pos)
         D = self.corpus_size
         if D < 1:
             raise ValidationError(f"corpus_size must be positive, got {D}")
-        prev = 0
-        for p in pos:
-            if p <= prev:
-                raise ValidationError(f"positions must be strictly increasing, got {pos}")
-            prev = p
+        if pos and not (pos[0] > 0 and all(map(operator.lt, pos, pos[1:]))):
+            raise ValidationError(f"positions must be strictly increasing, got {pos}")
         if pos and pos[-1] > D:
             raise ValidationError(f"last position {pos[-1]} exceeds corpus_size {D}")
 

@@ -23,8 +23,7 @@ import stat
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .core import JudgmentSet, RankedList
 from .errors import ParseError, ValidationError
 
@@ -34,11 +33,10 @@ logger = logging.getLogger(__name__)
 # keep the token arenas pinned by the item strings that outlive the split.
 _BLOCK_CHARS = 1 << 16
 
-# The ASCII characters str.split() splits on: \t \n \v \f \r, the
-# separators \x1c-\x1f and the space.
-_ASCII_WHITESPACE = np.zeros(256, dtype=bool)
-_ASCII_WHITESPACE[[9, 10, 11, 12, 13, 28, 29, 30, 31, 32]] = True
-_ASCII_WHITESPACE.setflags(write=False)
+# A byte per ASCII code, 1 for the characters str.split() splits on:
+# \t \n \v \f \r, the separators \x1c-\x1f and the space. Bytes, not an
+# array, so that importing this module does not load numpy.
+_ASCII_WHITESPACE = bytes(c in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " for c in range(256))
 
 
 def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
@@ -84,7 +82,7 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
 def _fields_per_line(text: str) -> np.ndarray:
     """Number of ``str.split()`` fields on each line of ASCII ``text``."""
     buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = _ASCII_WHITESPACE.take(buf)
+    space = np.frombuffer(_ASCII_WHITESPACE, dtype=bool).take(buf)
     field_start = ~space
     field_start[1:] &= space[:-1]
     line_ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))

@@ -25,11 +25,9 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from typing import NamedTuple
 
 from .core import ExposureModel, RelevantPositions
-from .errors import EnumerationBudgetError, UnevaluableRequestError, ValidationError
+from .errors import UnevaluableRequestError, ValidationError
 
 
 class NormalizationKind(str, Enum):
@@ -364,52 +362,3 @@ def exact_value(metric: MetricId, rp: RelevantPositions) -> Fraction | float:
         return metric_lexirecall(rp, metric.epsilon)
     return evaluate(metric, rp)
 
-
-class TopHeavinessCheck(NamedTuple):
-    holds: bool
-    counterexample: tuple[tuple[int, ...], int, float, float] | None
-
-
-_TOP_HEAVY_M_CAP = 12
-_TOP_HEAVY_VECTOR_CAP = 2_000_000
-_TOP_HEAVY_SLACK = 1e-12
-
-
-def is_top_heavy(
-    exposure: ExposureModel,
-    normalization: NormalizationModel,
-    m_max: int,
-    corpus_size: int,
-) -> TopHeavinessCheck:
-    """Exhaustively verify the prefix-dominance inequality.
-
-    For every position vector with up to ``m_max`` relevant items in a corpus
-    of ``corpus_size`` and every split point j, the full sum must dominate the
-    re-normalized tail sum. Returns the first violating configuration if one
-    exists. Raises :class:`EnumerationBudgetError` when the enumeration would
-    exceed the hard budget rather than silently truncating.
-    """
-    if m_max < 1:
-        raise ValidationError("m_max must be at least 1")
-    if m_max > _TOP_HEAVY_M_CAP:
-        raise EnumerationBudgetError(
-            f"check truncated: m_max {m_max} exceeds the exhaustive cap {_TOP_HEAVY_M_CAP}"
-        )
-    total_vectors = sum(math.comb(corpus_size, m) for m in range(1, min(m_max, corpus_size) + 1))
-    if total_vectors > _TOP_HEAVY_VECTOR_CAP:
-        raise EnumerationBudgetError(
-            f"check truncated: {total_vectors} vectors exceed the budget {_TOP_HEAVY_VECTOR_CAP}"
-        )
-    for m in range(1, min(m_max, corpus_size) + 1):
-        for pos in combinations(range(1, corpus_size + 1), m):
-            g = [exposure.at(p) for p in pos]
-            full = 0.0
-            for i in range(1, m + 1):
-                full += g[i - 1] * normalization.weight(i, m)
-            for j in range(1, m):
-                tail = 0.0
-                for i in range(j + 1, m + 1):
-                    tail += g[i - 1] * normalization.weight(i - j, m - j)
-                if full < tail - _TOP_HEAVY_SLACK:
-                    return TopHeavinessCheck(False, (pos, j, full, tail))
-    return TopHeavinessCheck(True, None)

@@ -24,8 +24,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .core import ExposureModel, RelevantPositions
 from .errors import EnumerationBudgetError, ValidationError
 from .metrics import NormalizationModel

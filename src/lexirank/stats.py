@@ -26,8 +26,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .errors import UndefinedResultError, ValidationError
 
 logger = logging.getLogger(__name__)

@@ -1,5 +1,7 @@
 """CLI behaviour: wiring, warnings, determinism, and error paths."""
 
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -8,6 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexirank.cli import main
+
+from conftest import subprocess_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RUNS = [str(FIXTURES / name) for name in ("run_a.txt", "run_b.txt", "run_c.txt")]
@@ -335,13 +339,18 @@ class TestDeterminismAndErrors:
     @pytest.mark.parametrize(
         "command",
         [["compare", "--method", "metric:mlr"], ["compare", "--method", "metric:AP"],
-         ["simulate-agreement"]],
-        ids=["compare-mlr", "compare-AP", "simulate-agreement"],
+         ["compare", "--method", "lexirecall"], ["degrade", "--method", "lexirecall"],
+         ["simulate-agreement"], ["simulate-agreement", "--metric", "random"],
+         ["ties", "--mode", "analytic"]],
+        ids=["compare-mlr", "compare-AP", "compare-lexirecall", "degrade-lexirecall",
+             "simulate-agreement", "simulate-agreement-random", "ties-analytic"],
     )
     def test_bad_tolerance_fails_cleanly(self, tmp_path, capsys, command, tolerance):
         out = tmp_path / "x.tsv"
-        if command[0] == "compare":
+        if command[0] in ("compare", "degrade"):
             argv = [*command, *data_args(out)]
+        elif command[0] == "ties":
+            argv = [*command, "--corpus-size", "200", "--out", out]
         else:
             argv = [*command, "--corpus-size", "200", "--pairs", "50", "--out", out]
         assert run_cli([*argv, f"--tolerance={tolerance}"]) == 1
@@ -391,3 +400,36 @@ class TestLineOrderIndependence:
                 target.write_text("\n".join(lines) + "\n")
                 shuffled.append(str(target))
             assert _outputs(shuffled[:-1], shuffled[-1], work) == expected
+
+
+def _modules_after(code):
+    """Names in ``sys.modules`` after running ``code`` in a fresh interpreter."""
+    listing = "import sys; print(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", f"{code}\n{listing}"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.split())
+
+
+class TestImports:
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["ties", "--mode", "analytic", "--corpus-size", "1000000", "--m-range", "1", "4"],
+         ["orientation", "--corpus-size", "1000", "--m-range", "1", "3"]],
+        ids=["import", "ties-analytic", "orientation"],
+    )
+    def test_closed_forms_never_run_numpy(self, tmp_path, argv):
+        code = "import lexirank.cli"
+        if argv:
+            code += f"\nassert lexirank.cli.main({[*argv, '--out', str(tmp_path / 'x.tsv')]!r}) == 0"
+        loaded = _modules_after(code)
+        assert not {name for name in loaded if name.startswith("numpy.")}
+
+    def test_cli_import_loads_every_module(self):
+        # The benchmark's tracer looks the traced modules up in sys.modules.
+        traced = ("io", "core", "metrics", "prefs", "stats", "analytics", "robustness")
+        assert {f"lexirank.{name}" for name in traced} <= _modules_after("import lexirank.cli")

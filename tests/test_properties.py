@@ -1,10 +1,15 @@
 """Hypothesis suites for order structure and metric behaviour under edits."""
 
+import importlib.util
 import math
 import operator
+import subprocess
+import sys
 from functools import partial, reduce
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -202,6 +207,37 @@ class TestSummationOrder:
         assert recall_level_form(vec, exposure, norm).hex() == full.hex()
         assert user_utility(vec, subset, exposure, norm).hex() == user.hex()
         assert provider_utility(vec, exposure, subset).hex() == provider.hex()
+
+
+CROSS_PYTHON_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cross_python_sums.py"
+
+
+def _interpreters_without_numpy() -> list[str]:
+    """Local interpreters the script finds that start but cannot import numpy.
+
+    They cannot run this suite, so the script is their only check.
+    """
+    spec = importlib.util.spec_from_file_location("cross_python_sums", CROSS_PYTHON_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    found = []
+    for interpreter in script.local_interpreters():
+        probe = subprocess.run([interpreter, "-c", "import numpy"], capture_output=True, text=True)
+        if "No module named 'numpy'" in probe.stderr:
+            found.append(interpreter)
+    return found
+
+
+def test_scores_identical_under_interpreters_without_numpy():
+    interpreters = _interpreters_without_numpy()
+    if not interpreters:
+        pytest.skip("no local Python interpreter without numpy")
+    proc = subprocess.run(
+        [sys.executable, str(CROSS_PYTHON_SCRIPT), *interpreters], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    compared = [line for line in proc.stdout.splitlines() if line.startswith("Python ")]
+    assert len(compared) == len(interpreters), proc.stdout
 
 
 class TestHolmStructure:
