@@ -12,8 +12,9 @@ corpus of 10^6) is scored with ``metrics.evaluate`` under this interpreter
 and under each INTERPRETER, and the ``repr`` of every score is compared.
 The generic summation form, ``robustness.user_utility``, needs numpy and is
 pinned to a left-to-right reference by the test suite instead.
-Without arguments, every ``python3.N`` on PATH and every pyenv version from
-3.10 on is tried; one that cannot run the modules is reported and skipped.
+Without arguments, every ``python3.N`` on PATH (pyenv's shims excepted) and
+every pyenv version from 3.10 on is tried, each once; one that cannot run the
+modules is reported and skipped.
 The exit status is 1 when any score differs. The test suite runs it under the
 local interpreters that lack numpy, and skips that test when there is none.
 """
@@ -63,12 +64,18 @@ def sample() -> list[list[int]]:
 
 
 def local_interpreters() -> list[str]:
-    found = [shutil.which(f"python3.{minor}") for minor in range(10, 20)]
+    search = os.environ.get("PATH", os.defpath)
+    versions: list[str] = []
     pyenv = shutil.which("pyenv")
     if pyenv:
         root = subprocess.run([pyenv, "root"], capture_output=True, text=True).stdout.strip()
         for minor in range(10, 20):
-            found += sorted(glob.glob(os.path.join(root, "versions", f"3.{minor}.*", "bin", "python3")))
+            versions += sorted(glob.glob(os.path.join(root, "versions", f"3.{minor}.*", "bin", "python3")))
+        # A shim only dispatches to one of those versions or to a later PATH
+        # entry, and fails when several versions provide the same command.
+        shims = os.path.realpath(os.path.join(root, "shims"))
+        search = os.pathsep.join(d for d in search.split(os.pathsep) if os.path.realpath(d) != shims)
+    found = [shutil.which(f"python3.{minor}", path=search) for minor in range(10, 20)] + versions
     this = os.path.realpath(sys.executable)
     paths = dict.fromkeys(os.path.realpath(p) for p in found if p)
     return [p for p in paths if p != this]

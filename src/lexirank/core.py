@@ -96,7 +96,10 @@ class RelevantPositions:
     corpus_size: int
 
     def __post_init__(self) -> None:
-        pos = tuple(map(int, self.positions))
+        try:
+            pos = tuple(map(operator.index, self.positions))
+        except TypeError as exc:
+            raise ValidationError(f"positions must be integers: {exc}") from None
         object.__setattr__(self, "positions", pos)
         D = self.corpus_size
         if D < 1:

@@ -6,9 +6,10 @@ wants) and the same family of possible providers. These enumerators score a
 ranking for every member of those populations so that the cheap worst-case
 shortcuts used elsewhere can be checked against an exhaustive minimum.
 
-The worst-case minima enumerate every subset, vectorised: all 2^m - 1
-subsets are bitmasks scored together in numpy, with each subset's sum formed
-in the same order as a scalar loop, so values and witnesses are exact.
+The worst-case minima score all 2^m - 1 subsets as bitmasks in numpy, each
+sum formed in the order of a scalar loop, so values and witnesses are exact:
+provider totals are prefix sums over bitmasks, and user totals gather weights
+through an intp copy of a cached int16 layout.
 Scalar float sums are explicit left-to-right loops, as in ``metrics``, so
 results do not depend on the Python version.
 Enumeration caps are unchanged: the subset population is capped at m = 20
@@ -19,6 +20,7 @@ parallel schedule a caller might choose.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -40,15 +42,15 @@ class UserSubset:
     levels: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "levels", tuple(int(v) for v in self.levels))
-        lv = self.levels
+        try:
+            lv = tuple(map(operator.index, self.levels))
+        except TypeError as exc:
+            raise ValidationError(f"levels must be integers: {exc}") from None
+        object.__setattr__(self, "levels", lv)
         if not lv:
             raise ValidationError("a user must care about at least one relevant item")
-        prev = 0
-        for v in lv:
-            if v <= prev:
-                raise ValidationError(f"levels must be strictly increasing and 1-based, got {lv}")
-            prev = v
+        if not (lv[0] > 0 and all(map(operator.lt, lv, lv[1:]))):
+            raise ValidationError(f"levels must be strictly increasing and 1-based, got {lv}")
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -116,14 +118,13 @@ class WorstCase(NamedTuple):
     witness: UserSubset
 
 
-def _weight_table(normalization: NormalizationModel | None, m: int) -> np.ndarray:
+def _weight_table(normalization: NormalizationModel, m: int) -> np.ndarray:
     # Flat (m+1) x (m+1) table: entry n*(m+1) + r holds N(r+1, n), the weight
     # of the (r+1)-th member of a size-n subset; column m (non-members) is 0.
-    # ``None`` means plain summation (the provider population).
     table = np.zeros((m + 1, m + 1))
     for n in range(1, m + 1):
         for r in range(n):
-            table[n, r] = 1.0 if normalization is None else normalization.weight(r + 1, n)
+            table[n, r] = normalization.weight(r + 1, n)
     return table.ravel()
 
 
@@ -165,25 +166,13 @@ def _lexicographic_min(masks: np.ndarray) -> int:
             return prefix
 
 
-def _min_over_subsets(
-    gains: list[float], normalization: NormalizationModel | None
-) -> tuple[float, tuple[int, ...]]:
-    """Exhaustive minimum over all non-empty index subsets.
-
-    Each subset's total accumulates ``gains[idx] * N(rank, size)`` in
-    increasing index order, as a scalar loop over the subset would, so the
-    values are exactly that loop's. Ties at the minimum resolve to the
-    lexicographically smallest witness. ``normalization=None`` means plain
-    summation (the provider population).
-    """
-    m = len(gains)
-    table = _weight_table(normalization, m)
-    totals = np.zeros((1 << m) - 1)
-    for gain, row in zip(gains, _subset_layout(m)):
-        totals += gain * table[row]
+def _worst(totals: np.ndarray) -> WorstCase:
+    # totals[k] belongs to the subset with bitmask k + 1; ties at the minimum
+    # resolve to the lexicographically smallest witness.
     value = totals.min()
     mask = _lexicographic_min(np.flatnonzero(totals == value) + 1)
-    return float(value), tuple(i for i in range(m) if mask >> i & 1)
+    levels = tuple(i + 1 for i in range(mask.bit_length()) if mask >> i & 1)
+    return WorstCase(float(value), UserSubset(levels))
 
 
 def _require_population_budget(m: int) -> None:
@@ -196,26 +185,44 @@ def _require_population_budget(m: int) -> None:
         )
 
 
+def _user_totals(gains: list[float], normalization: NormalizationModel) -> np.ndarray:
+    # Totals add gain * N(rank, size) in increasing item order, as a scalar
+    # loop would. An intp index gathers faster than the int16 layout, and
+    # scaling the small table first gives the same products.
+    m = len(gains)
+    table = _weight_table(normalization, m)
+    totals = np.zeros((1 << m) - 1)
+    index = np.empty(totals.size, dtype=np.intp)
+    for gain, row in zip(gains, _subset_layout(m)):
+        np.copyto(index, row)
+        totals += (table * gain)[index]
+    return totals
+
+
+def _provider_totals(gains: list[float]) -> np.ndarray:
+    # A bitmask's total is the total without its highest bit plus that item's
+    # gain: the scalar loop's sum in increasing item order, one add per mask.
+    totals = np.zeros(1 << len(gains))
+    for i, gain in enumerate(gains):
+        np.add(totals[: 1 << i], gain, out=totals[1 << i : 2 << i])
+    return totals[1:]
+
+
 def worst_case_user(
     rp: RelevantPositions,
     exposure: ExposureModel,
     normalization: NormalizationModel,
 ) -> WorstCase:
     """Brute-force minimum of user utility over the whole user population."""
-    m = rp.m
-    _require_population_budget(m)
+    _require_population_budget(rp.m)
     gains = [exposure.at(p) for p in rp.positions]
-    value, combo = _min_over_subsets(gains, normalization)
-    return WorstCase(value, UserSubset(tuple(i + 1 for i in combo)))
+    return _worst(_user_totals(gains, normalization))
 
 
 def worst_case_provider(rp: RelevantPositions, exposure: ExposureModel) -> WorstCase:
     """Brute-force minimum of provider exposure over all provider subsets."""
-    m = rp.m
-    _require_population_budget(m)
-    gains = [exposure.at(p) for p in rp.positions]
-    value, combo = _min_over_subsets(gains, None)
-    return WorstCase(value, UserSubset(tuple(i + 1 for i in combo)))
+    _require_population_budget(rp.m)
+    return _worst(_provider_totals([exposure.at(p) for p in rp.positions]))
 
 
 class OptimalRankerWorstCase(NamedTuple):

@@ -171,6 +171,17 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             RelevantPositions((3, 3), 10)
 
+    @pytest.mark.parametrize("positions", [(1.9, 2.5), (1.0, 2.0), ("1", "2")])
+    def test_non_integer_positions_rejected(self, positions):
+        # A float, even an integral one, or a string is never truncated.
+        with pytest.raises(ValidationError, match="positions must be integers"):
+            RelevantPositions(positions, 10)
+
+    def test_numpy_integer_positions_accepted(self):
+        rp = RelevantPositions(np.array([2, 5], dtype=np.int32), 10)
+        assert rp.positions == (2, 5)
+        assert all(type(p) is int for p in rp.positions)
+
     def test_positions_must_fit_corpus(self):
         with pytest.raises(ValidationError):
             RelevantPositions((5, 11), 10)

@@ -2,7 +2,10 @@
 
 from itertools import combinations, permutations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexirank import (
     EnumerationBudgetError,
@@ -18,6 +21,12 @@ from lexirank import (
     user_utility,
     worst_case_provider,
     worst_case_user,
+)
+from lexirank.robustness import (
+    _lexicographic_min,
+    _provider_totals,
+    _subset_layout,
+    _user_totals,
 )
 
 from conftest import random_positions
@@ -61,6 +70,16 @@ class TestEnumeration:
             UserSubset((2, 2))
         with pytest.raises(ValidationError):
             UserSubset((0, 1))
+
+    @pytest.mark.parametrize("levels", [(1.5, 2.7), (1.0, 2.0), ("1", "2")])
+    def test_non_integer_levels_rejected(self, levels):
+        with pytest.raises(ValidationError, match="levels must be integers"):
+            UserSubset(levels)
+
+    def test_numpy_integer_levels_accepted(self):
+        levels = UserSubset(np.arange(1, 4)).levels
+        assert levels == (1, 2, 3)
+        assert all(type(v) is int for v in levels)
 
 
 class TestUtilities:
@@ -213,6 +232,81 @@ class TestVectorisedEnumeration:
         # before (2,), so the witness needs more than its first index.
         esl3 = NormalizationModel.esl3()
         assert worst_case_user(vec, geometric, esl3) == (0.0, UserSubset((1, 2)))
+
+
+def _weight_table_reference(normalization, m):
+    # Flat (m+1) x (m+1) table: entry n*(m+1) + r holds N(r+1, n); column m
+    # (non-members) is 0. ``None`` means plain summation (the provider).
+    table = np.zeros((m + 1, m + 1))
+    for n in range(1, m + 1):
+        for r in range(n):
+            table[n, r] = 1.0 if normalization is None else normalization.weight(r + 1, n)
+    return table.ravel()
+
+
+def _min_over_subsets_reference(gains, normalization):
+    """Reference: every subset scored by gathering weights through the layout.
+
+    Each total accumulates ``gains[idx] * N(rank, size)`` (1.0 for the
+    provider) over all items in increasing index order, non-members adding
+    0.0, so it equals a scalar loop over the subset bit for bit. Returns the
+    totals of bitmasks 1 .. 2^m - 1, the minimum and its witness.
+    """
+    m = len(gains)
+    table = _weight_table_reference(normalization, m)
+    totals = np.zeros((1 << m) - 1)
+    for gain, row in zip(gains, _subset_layout(m)):
+        totals += gain * table[row]
+    value = totals.min()
+    mask = _lexicographic_min(np.flatnonzero(totals == value) + 1)
+    return totals, float(value), tuple(i + 1 for i in range(m) if mask >> i & 1)
+
+
+@st.composite
+def oracle_cases(draw):
+    m = draw(st.integers(min_value=1, max_value=16))
+    # D = m fills every position, so linear(D) exposure is 0.0 at the
+    # bottom; beyond position 3340 geometric(0.8) exposure underflows to 0.0.
+    D = draw(st.sampled_from([m, m + 3, 5000, 10**6]))
+    if D == m:
+        positions = range(1, m + 1)
+    else:
+        positions = sorted(draw(st.sets(st.integers(1, D), min_size=m, max_size=m)))
+    exposure = draw(
+        st.sampled_from(
+            [
+                ExposureModel.reciprocal(),
+                ExposureModel.log2(),
+                ExposureModel.geometric(0.8),
+                ExposureModel.linear(D),
+            ]
+        )
+    )
+    return rp(positions, D), exposure, draw(st.sampled_from(NORMALIZATIONS))
+
+
+class TestKernelsMatchLayoutReference:
+    """Both worst-case kernels equal the layout-gather reference bitwise, m up to 16."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(oracle_cases())
+    def test_bitwise_totals_value_and_witness(self, case):
+        vec, exposure, normalization = case
+        gains = [exposure.at(p) for p in vec.positions]
+        for totals, (value, witness), norm in (
+            (
+                _user_totals(gains, normalization),
+                worst_case_user(vec, exposure, normalization),
+                normalization,
+            ),
+            (_provider_totals(gains), worst_case_provider(vec, exposure), None),
+        ):
+            ref_totals, ref_value, ref_witness = _min_over_subsets_reference(gains, norm)
+            # Every subset, not only the minimum: a singleton usually wins,
+            # and its total does not depend on the summation order.
+            assert np.array_equal(totals.view(np.int64), ref_totals.view(np.int64))
+            assert value.hex() == ref_value.hex()
+            assert witness.levels == ref_witness
 
 
 def _stochastic_by_full_enumeration(exposure, normalization, m):
