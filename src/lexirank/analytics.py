@@ -5,6 +5,30 @@ permutations: every statistic in this package is a function of the position
 vector alone, and each vector corresponds to the same number of corpus
 permutations, so the induced distribution is identical while million-item
 corpora stay cheap.
+
+Vectors are drawn in blocks. A chunk of pairs first draws its m, then one
+sorted int64 (n, m) block per distinct m holding the n vectors of that m.
+A chunk holds ``_CHUNK_PAIRS`` pairs, fewer when the top of the m range
+would make it draw more than ``_CHUNK_VALUES`` values, so memory follows
+the vector size and not the pair count.
+
+Each block row is a uniform m-subset of [1..D] by one argument: every
+regime treats the labels 1..D alike, so relabelling the
+corpus maps a draw, and the decision to keep it, onto an equally likely draw
+with the same decision. The distribution of a kept row is then invariant
+under relabelling, and the only such distribution over m-subsets is the
+uniform one. The three regimes are
+
+* whole-row rejection where m(m-1) <= D: m independent draws, sorted, kept
+  when they strictly increase, which at least half of all rows do;
+* first m distinct values of a row of 2m draws, in draw order, where
+  m(m-1) > D and 2m < D; a row with fewer distinct values is drawn again;
+* a permutation prefix where 2m >= D: the first m of a shuffled 1..D.
+
+A rejected row is replaced by the next accepted one, which leaves the kept
+rows independent. The chunk size depends only on D and the m range, and
+the last chunk is drawn in full and then cut, so a stream of n pairs is the
+prefix of every longer stream with the same seed.
 """
 
 from __future__ import annotations
@@ -12,6 +36,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -20,7 +45,7 @@ from ._numpy import np
 from .core import Imputation, JudgmentSet, RankedList, RelevantPositions, project_runs
 from .errors import UndefinedResultError, ValidationError
 from .metrics import MetricId, MetricKind, evaluate
-from .prefs import DEFAULT_TOLERANCE, make_method, metric_compare
+from .prefs import DEFAULT_TOLERANCE, PreferenceFn, make_method, metric_compare
 
 logger = logging.getLogger(__name__)
 
@@ -36,17 +61,31 @@ class SimulationConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        lo, hi = self.m_range
-        if lo < 1 or hi > self.corpus_size or lo > hi:
+        try:
+            D = operator.index(self.corpus_size)
+            lo, hi = map(operator.index, self.m_range)
+            pair_count = operator.index(self.pair_count)
+            seed = operator.index(self.seed)
+            depth = self.retrieval_depth
+            if depth is not None:
+                depth = operator.index(depth)
+        except TypeError as exc:
+            raise ValidationError(f"simulation sizes and seed must be integers: {exc}") from None
+        for name, value in (
+            ("corpus_size", D), ("m_range", (lo, hi)), ("pair_count", pair_count),
+            ("retrieval_depth", depth), ("seed", seed),
+        ):
+            object.__setattr__(self, name, value)
+        if not 1 <= lo <= hi <= D:
             raise ValidationError(
-                f"m_range {self.m_range} must satisfy 1 <= lo <= hi <= D={self.corpus_size}"
+                f"m_range {self.m_range} must satisfy 1 <= lo <= hi <= D={D}"
             )
-        if self.pair_count < 1:
-            raise ValidationError(f"pair_count must be positive, got {self.pair_count}")
-        if self.retrieval_depth is not None and not 1 <= self.retrieval_depth <= self.corpus_size:
-            raise ValidationError(
-                f"retrieval depth {self.retrieval_depth} outside [1, {self.corpus_size}]"
-            )
+        if pair_count < 1:
+            raise ValidationError(f"pair_count must be positive, got {pair_count}")
+        if depth is not None and not 1 <= depth <= D:
+            raise ValidationError(f"retrieval depth {depth} outside [1, {D}]")
+        if seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
 _TIE_METRIC_NAMES = ("tse", "recall@k", "rprecision", "lexirecall")
@@ -128,27 +167,97 @@ def tie_probability(
     return Fraction(num, total * total)
 
 
-def _sample_sorted_positions(rng: np.random.Generator, corpus_size: int, m: int) -> tuple[int, ...]:
-    """Uniform m-subset of [1..D], returned sorted.
+# Pairs whose m are drawn together, and the most values one chunk draws.
+# Both are part of the draw order: changing either changes seeded streams.
+_CHUNK_PAIRS = 1024
+_CHUNK_VALUES = 2**20
 
-    Three regimes, all exactly uniform (each procedure is invariant under
-    relabeling positions): whole-draw rejection when collisions are rare,
-    draw-and-top-up in the middle, and a permutation prefix when the subset
-    is dense in the corpus. Cost stays O(m) even for million-item corpora.
+
+def _row_width(corpus_size: int, m: int) -> int:
+    """Values drawn per row of an m-block: D, m or 2m by regime."""
+    if 2 * m >= corpus_size:
+        return corpus_size
+    return m if m * (m - 1) <= corpus_size else 2 * m
+
+
+def _chunk_pairs(config: SimulationConfig) -> int:
+    """Pairs per chunk: ``_CHUNK_PAIRS``, or fewer where the widest rows of
+    the m range would draw more than ``_CHUNK_VALUES`` values, down to one.
+
+    A chunk's blocks, and the vectors it holds before yielding, then stay
+    within about ``_CHUNK_VALUES`` positions or one pair's, whatever the
+    pair count.
     """
-    if m * 2 >= corpus_size:
-        picked = rng.permutation(corpus_size)[:m] + 1
-        return tuple(int(v) for v in np.sort(picked))
-    if m * (m - 1) <= corpus_size:
-        vals = rng.integers(1, corpus_size + 1, size=m).tolist()
-        while len(set(vals)) != m:
-            vals = rng.integers(1, corpus_size + 1, size=m).tolist()
-        return tuple(sorted(vals))
-    out = np.unique(rng.integers(1, corpus_size + 1, size=m))
-    while out.size < m:
-        extra = rng.integers(1, corpus_size + 1, size=m - out.size)
-        out = np.unique(np.concatenate([out, extra]))
-    return tuple(int(v) for v in out)
+    width = _row_width(config.corpus_size, config.m_range[1])
+    return max(1, min(_CHUNK_PAIRS, _CHUNK_VALUES // (2 * width)))
+
+
+def _first_distinct(draws: np.ndarray, m: int) -> np.ndarray:
+    """The first m distinct values of each row, in draw order, sorted.
+
+    Rows with fewer than m distinct values are dropped.
+    """
+    order = np.argsort(draws, axis=1, kind="stable")  # equal values keep column order
+    ranked = np.take_along_axis(draws, order, axis=1)
+    new = np.ones(draws.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    first = np.empty_like(new)
+    np.put_along_axis(first, order, new, axis=1)  # first occurrences, by column
+    first &= np.cumsum(first, axis=1) <= m
+    keep = first.sum(axis=1) == m
+    return np.sort(draws[keep][first[keep]].reshape(-1, m), axis=1)
+
+
+def _subset_block(rng: np.random.Generator, corpus_size: int, m: int, n: int) -> np.ndarray:
+    """n independent uniform m-subsets of [1..D], one sorted int64 row each."""
+    D = corpus_size
+    if 2 * m >= D:
+        rows = rng.permuted(np.tile(np.arange(1, D + 1), (n, 1)), axis=1)
+        return np.sort(rows[:, :m], axis=1)
+    parts = []
+    need = n
+    while need:
+        if m * (m - 1) <= D:
+            rows = np.sort(rng.integers(1, D + 1, size=(need, m)), axis=1)
+            rows = rows[(rows[:, 1:] > rows[:, :-1]).all(axis=1)]
+        else:
+            rows = _first_distinct(rng.integers(1, D + 1, size=(need, 2 * m)), m)
+        parts.append(rows)
+        need -= len(rows)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+
+def _pair_blocks(
+    config: SimulationConfig,
+) -> Iterator[list[tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """The pair stream as blocks: one list of ``(pairs, xs, ys)`` per chunk.
+
+    ``pairs`` holds the chunk-relative stream indices of the pairs sharing
+    one m, ascending; ``xs`` and ``ys`` hold their two position vectors as
+    rows of sorted int64 (len(pairs), m) blocks, already truncated. Every
+    chunk draws all ``_chunk_pairs(config)`` pairs, so the last one is cut
+    after drawing and a stream is a prefix of every longer one with its seed.
+    """
+    rng = np.random.default_rng(config.seed)
+    D = config.corpus_size
+    lo, hi = config.m_range
+    depth = config.retrieval_depth
+    truncate = depth is not None and depth < D
+    chunk = _chunk_pairs(config)
+    for start in range(0, config.pair_count, chunk):
+        kept = min(chunk, config.pair_count - start)
+        ms = rng.integers(lo, hi + 1, size=chunk)
+        order = np.argsort(ms, kind="stable")
+        values, firsts, counts = np.unique(ms[order], return_index=True, return_counts=True)
+        groups = []
+        for m, first, count in zip(values.tolist(), firsts.tolist(), counts.tolist()):
+            pairs = order[first : first + count]
+            block = _subset_block(rng, D, m, 2 * count)
+            if truncate:
+                block = np.where(block > depth, np.arange(D - m + 1, D + 1), block)
+            n = int(np.searchsorted(pairs, kept))
+            groups.append((pairs[:n], block[:n], block[count : count + n]))
+        yield groups
 
 
 PairStream = Iterable[tuple[RelevantPositions, RelevantPositions, int]]
@@ -160,24 +269,36 @@ def simulate_pairs(config: SimulationConfig) -> Iterator[tuple[RelevantPositions
     Each trial draws m uniformly from the configured range, then two
     independent uniform position vectors. With a retrieval depth set,
     positions beyond the depth are pessimistically imputed, mimicking
-    truncated runs. The stream is a pure function of the seed.
+    truncated runs. The stream is a pure function of the seed, and a
+    stream of n pairs is the prefix of every longer one with the same seed.
+
+    Pairs come in chunks (see ``_chunk_pairs``), drawn as one block of vectors
+    per m by one of three exactly uniform regimes (see the module
+    docstring), and are yielded in draw order. A vector at the bottom of
+    the corpus, such as a truncated one with nothing retrieved, is one
+    ``RelevantPositions.worst_case(m, D)`` shared by the whole stream.
     """
-    rng = np.random.default_rng(config.seed)
     D = config.corpus_size
-    lo, hi = config.m_range
-    depth = config.retrieval_depth
-    truncate = depth is not None and depth < D
-    for _ in range(config.pair_count):
-        m = int(rng.integers(lo, hi + 1))
-        px = _sample_sorted_positions(rng, D, m)
-        py = _sample_sorted_positions(rng, D, m)
-        if truncate:
-            rpx = RelevantPositions.worst_case(m, D, [p for p in px if p <= depth])
-            rpy = RelevantPositions.worst_case(m, D, [p for p in py if p <= depth])
-        else:
-            rpx = RelevantPositions.from_positions(px, D)
-            rpy = RelevantPositions.from_positions(py, D)
-        yield rpx, rpy, m
+    bottoms: dict[int, RelevantPositions] = {}
+    for groups in _pair_blocks(config):
+        stream: list = [None] * sum(len(pairs) for pairs, _xs, _ys in groups)
+        for pairs, xs, ys in groups:
+            m = xs.shape[1]
+            if m not in bottoms:
+                bottoms[m] = RelevantPositions.worst_case(m, D)
+            wrapped = [_wrap_rows(block, D, bottoms[m]) for block in (xs, ys)]
+            for i, x, y in zip(pairs.tolist(), *wrapped):
+                stream[i] = (x, y, m)
+        yield from stream
+
+
+def _wrap_rows(block: np.ndarray, corpus_size: int, bottom: RelevantPositions) -> list:
+    """One ``RelevantPositions`` per row; rows at the bottom share ``bottom``."""
+    top = bottom.positions[0]
+    return [
+        bottom if first == top else RelevantPositions(row.tolist(), corpus_size)
+        for first, row in zip(block[:, 0].tolist(), block)
+    ]
 
 
 def agreement_with_worst_case(
@@ -222,13 +343,26 @@ def agreement_with_worst_case(
     return agree / strict, tied_worst / total
 
 
+def _resolve_methods(
+    methods: Sequence[str | MetricId], tolerance: float
+) -> list[tuple[str, PreferenceFn]]:
+    """Labelled preference functions, one per method; a repeated label is an error."""
+    resolved = [make_method(m, tolerance) for m in methods]
+    seen = set()
+    for name, _fn in resolved:
+        if name in seen:
+            raise ValidationError(f"comparison method {name!r} given more than once")
+        seen.add(name)
+    return resolved
+
+
 def tie_fractions(
     pairs: PairStream,
     methods: Sequence[str | MetricId],
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> dict[str, float]:
     """Empirical tie fraction of each comparison method over a pair stream."""
-    resolved = [make_method(m, tolerance) for m in methods]
+    resolved = _resolve_methods(methods, tolerance)
     ties = [0] * len(resolved)
     total = 0
     for rpx, rpy, _m in pairs:
@@ -337,7 +471,7 @@ def degradation_study(
     """
     if samples < 1:
         raise ValidationError(f"samples must be positive, got {samples}")
-    resolved = [make_method(m, tolerance) for m in methods]
+    resolved = _resolve_methods(methods, tolerance)
     tags = sorted(runs)
     run_pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
     if not run_pairs:

@@ -100,8 +100,12 @@ class RelevantPositions:
             pos = tuple(map(operator.index, self.positions))
         except TypeError as exc:
             raise ValidationError(f"positions must be integers: {exc}") from None
+        try:
+            D = operator.index(self.corpus_size)
+        except TypeError as exc:
+            raise ValidationError(f"corpus_size must be an integer: {exc}") from None
         object.__setattr__(self, "positions", pos)
-        D = self.corpus_size
+        object.__setattr__(self, "corpus_size", D)
         if D < 1:
             raise ValidationError(f"corpus_size must be positive, got {D}")
         if pos and not (pos[0] > 0 and all(map(operator.lt, pos, pos[1:]))):

@@ -1,17 +1,22 @@
 """Tie combinatorics vs enumeration, simulator determinism, orientation, degradation."""
 
+import dataclasses
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexirank import (
     JudgmentSet,
     MetricId,
     RankedList,
+    RelevantPositions,
     SimulationConfig,
     UndefinedResultError,
     ValidationError,
@@ -23,7 +28,8 @@ from lexirank import (
     tie_fractions,
     tie_probability,
 )
-from lexirank.analytics import stable_seed
+from lexirank import analytics
+from lexirank.analytics import _CHUNK_PAIRS, _pair_blocks, stable_seed
 
 
 class TestExactProbability:
@@ -123,6 +129,34 @@ class TestTieProbability:
             tie_probability("ap", 10, 2)
 
 
+@st.composite
+def configs(draw):
+    """Small untruncated configurations, some spanning several chunks."""
+    D = draw(st.integers(1, 60), label="D")
+    lo = draw(st.integers(1, D), label="lo")
+    hi = draw(st.integers(lo, D), label="hi")
+    pairs = draw(
+        st.one_of(st.integers(1, 40), st.integers(_CHUNK_PAIRS - 5, _CHUNK_PAIRS + 40)),
+        label="pairs",
+    )
+    return SimulationConfig(D, (lo, hi), pairs, seed=draw(st.integers(0, 2**32), label="seed"))
+
+
+def _assert_uniform_subsets(config, D, m):
+    counts = Counter()
+    for x, y, pair_m in simulate_pairs(config):
+        if pair_m == m:
+            counts[x.positions] += 1
+            counts[y.positions] += 1
+    total = sum(counts.values())
+    n_subsets = math.comb(D, m)
+    p = 1 / n_subsets
+    sigma = math.sqrt(total * p * (1 - p))
+    assert len(counts) == n_subsets
+    for count in counts.values():
+        assert abs(count - total * p) < 5 * sigma
+
+
 class TestSimulatePairs:
     def test_deterministic_given_seed(self):
         config = SimulationConfig(corpus_size=100, m_range=(2, 6), pair_count=50, seed=9)
@@ -149,29 +183,110 @@ class TestSimulatePairs:
 
     @pytest.mark.parametrize("D,m", [(4, 2), (7, 2), (12, 5)])
     def test_subset_sampling_is_uniform(self, D, m):
-        # Covers all three sampling branches (permutation prefix, whole-draw
-        # rejection, top-up); per-subset frequencies stay within 5 sigma.
+        # One case per block regime: permutation prefix (2m >= D), whole-row
+        # rejection (m(m-1) <= D) and first-m-distinct (in between);
+        # per-subset frequencies stay within 5 sigma.
         config = SimulationConfig(corpus_size=D, m_range=(m, m), pair_count=6000, seed=3)
-        counts = Counter()
-        for x, y, _m in simulate_pairs(config):
-            counts[x.positions] += 1
-            counts[y.positions] += 1
-        total = 12000
-        n_subsets = math.comb(D, m)
-        p = 1 / n_subsets
-        sigma = math.sqrt(total * p * (1 - p))
-        assert len(counts) == n_subsets
-        for count in counts.values():
-            assert abs(count - total * p) < 5 * sigma
+        _assert_uniform_subsets(config, D, m)
+
+    def test_subset_sampling_is_uniform_across_chunks(self):
+        # Two chunks, the second cut short, with m drawn per pair from the
+        # rejection (m = 3) and first-m-distinct (m = 4) regimes of D = 9.
+        D = 9
+        config = SimulationConfig(
+            corpus_size=D, m_range=(3, 4), pair_count=2 * _CHUNK_PAIRS - 48, seed=4
+        )
+        for m in (3, 4):
+            _assert_uniform_subsets(config, D, m)
 
     def test_empirical_tie_rate_matches_exact_form(self):
-        # Large-sample check of the positional-identity tie probability.
+        # Large-sample check of the positional-identity tie probability,
+        # counted on the sampler's blocks that simulate_pairs wraps.
         D, m, pairs = 100, 3, 1_000_000
         exact = float(tie_probability("lexirecall", D, m))
         config = SimulationConfig(corpus_size=D, m_range=(m, m), pair_count=pairs, seed=11)
-        ties = sum(1 for x, y, _m in simulate_pairs(config) if x.positions == y.positions)
+        ties = drawn = 0
+        for groups in _pair_blocks(config):
+            for _rows, xs, ys in groups:
+                drawn += len(xs)
+                ties += int(np.count_nonzero((xs == ys).all(axis=1)))
+        assert drawn == pairs
         sigma = math.sqrt(pairs * exact * (1 - exact))
         assert abs(ties - pairs * exact) <= 3 * sigma
+
+    @settings(max_examples=25, deadline=None)
+    @given(configs())
+    def test_stream_is_the_block_rows_wrapped(self, config):
+        expected = []
+        for groups in _pair_blocks(config):
+            chunk = [None] * sum(len(rows) for rows, _xs, _ys in groups)
+            for rows, xs, ys in groups:
+                for i, x, y in zip(rows.tolist(), xs.tolist(), ys.tolist()):
+                    chunk[i] = (tuple(x), tuple(y), len(x))
+            expected += chunk
+        stream = list(simulate_pairs(config))
+        assert [(x.positions, y.positions, m) for x, y, m in stream] == expected
+        D = config.corpus_size
+        assert all(x.corpus_size == y.corpus_size == D for x, y, _m in stream)
+
+    @settings(max_examples=25, deadline=None)
+    @given(configs(), st.data())
+    def test_truncation_is_worst_case_of_the_untruncated_stream(self, config, data):
+        D = config.corpus_size
+        depth = data.draw(st.integers(1, D), label="depth")
+        truncated = dataclasses.replace(config, retrieval_depth=depth)
+        for (tx, ty, tm), (ux, uy, um) in zip(
+            simulate_pairs(truncated), simulate_pairs(config), strict=True
+        ):
+            assert tm == um
+            for t, u in ((tx, ux), (ty, uy)):
+                assert t == RelevantPositions.worst_case(
+                    um, D, [p for p in u.positions if p <= depth]
+                )
+
+    @settings(max_examples=25, deadline=None)
+    @given(configs(), st.data())
+    def test_stream_is_a_prefix_of_longer_streams(self, config, data):
+        # Longer streams reach into the next chunk or beyond.
+        longer = data.draw(
+            st.integers(config.pair_count, config.pair_count + _CHUNK_PAIRS + 10),
+            label="longer",
+        )
+        short = list(simulate_pairs(config))
+        long = list(simulate_pairs(dataclasses.replace(config, pair_count=longer)))
+        assert long[: config.pair_count] == short
+
+    def test_prefix_across_a_chunk_boundary(self):
+        config = SimulationConfig(
+            corpus_size=200, m_range=(1, 30), pair_count=_CHUNK_PAIRS - 3,
+            retrieval_depth=40, seed=21,
+        )
+        longer = dataclasses.replace(config, pair_count=2 * _CHUNK_PAIRS + 7)
+        short = list(simulate_pairs(config))
+        assert list(simulate_pairs(longer))[: len(short)] == short
+
+    def test_small_chunks_keep_prefixes(self, monkeypatch):
+        # m = 30 of D = 200 draws rows of 60 values, so 1024 values make
+        # chunks of 8 pairs; prefixes hold across those boundaries too.
+        monkeypatch.setattr(analytics, "_CHUNK_VALUES", 1024)
+        config = SimulationConfig(
+            corpus_size=200, m_range=(1, 30), pair_count=13, retrieval_depth=40, seed=21
+        )
+        assert analytics._chunk_pairs(config) == 8
+        short = list(simulate_pairs(config))
+        longer = list(simulate_pairs(dataclasses.replace(config, pair_count=30)))
+        assert len(short) == 13 and longer[:13] == short
+
+    def test_bottom_vectors_share_one_object_per_m(self):
+        config = SimulationConfig(
+            corpus_size=10**6, m_range=(5, 8), pair_count=200, retrieval_depth=1000, seed=2
+        )
+        bottoms = {}
+        for x, y, m in simulate_pairs(config):
+            for v in (x, y):
+                if v == RelevantPositions.worst_case(m, 10**6):
+                    assert bottoms.setdefault(m, v) is v
+        assert sorted(bottoms) == [5, 6, 7, 8]
 
     def test_config_validation(self):
         with pytest.raises(ValidationError):
@@ -180,6 +295,57 @@ class TestSimulatePairs:
             SimulationConfig(corpus_size=10, m_range=(2, 11), pair_count=1)
         with pytest.raises(ValidationError):
             SimulationConfig(corpus_size=10, m_range=(2, 3), pair_count=0)
+        with pytest.raises(ValidationError, match="seed"):
+            SimulationConfig(corpus_size=10, m_range=(2, 3), pair_count=1, seed=-1)
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("corpus_size", 1000.0),
+            ("m_range", (2.5, 3)),
+            ("m_range", (2, 3.0)),
+            ("pair_count", 2.5),
+            ("retrieval_depth", 10.0),
+            ("seed", 1.5),
+            ("seed", "7"),
+        ],
+    )
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        settings_ = {"corpus_size": 1000, "m_range": (2, 3), "pair_count": 5, "seed": 0}
+        settings_[field] = value
+        with pytest.raises(ValidationError, match="must be integers"):
+            SimulationConfig(**settings_)
+
+    def test_numpy_integer_sizes_stored_as_int(self):
+        config = SimulationConfig(
+            corpus_size=np.int64(100), m_range=(np.int32(2), np.int64(3)),
+            pair_count=np.int64(4), retrieval_depth=np.int16(10), seed=np.uint8(3),
+        )
+        values = [config.corpus_size, *config.m_range, config.pair_count]
+        values += [config.retrieval_depth, config.seed]
+        assert all(type(v) is int for v in values)
+        assert config == SimulationConfig(100, (2, 3), 4, 10, 3)
+        x, _y, _m = next(simulate_pairs(config))
+        assert type(x.corpus_size) is int
+
+    @pytest.mark.parametrize(
+        "D,m",
+        [(10**6, 10**5), (10**6, 1000), (10**4, 6000)],
+        ids=["first-distinct", "rejection", "permutation"],
+    )
+    def test_large_vectors_stream_in_bounded_memory(self, D, m):
+        # One m fills whole chunks: at _CHUNK_PAIRS pairs a chunk of the
+        # first case would draw 2048 rows of 2 * 10**5 values (3.3 GB). Chunks
+        # shrink to about _CHUNK_VALUES values (8 MB) and their temporaries.
+        config = SimulationConfig(corpus_size=D, m_range=(m, m), pair_count=4, seed=5)
+        tracemalloc.start()
+        try:
+            drawn = sum(x.m + y.m for x, y, _m in simulate_pairs(config))
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert drawn == 8 * m
+        assert peak < 96 * 2**20
 
 
 def _pair(x, y, D):
@@ -234,6 +400,11 @@ class TestAgreement:
         # far more often than the positional one; the saturated cutoff always ties.
         assert fractions["tse"] > fractions["lexirecall"]
         assert fractions["recall@1000"] == 1.0
+
+    def test_repeated_method_label_rejected(self):
+        config = SimulationConfig(corpus_size=50, m_range=(2, 4), pair_count=10, seed=1)
+        with pytest.raises(ValidationError, match="'tse' given more than once"):
+            tie_fractions(simulate_pairs(config), ["tse", "lexirecall", "tse"])
 
 
 class TestOrientation:
@@ -371,6 +542,14 @@ class TestDegradationStudy:
         del runs["sysB"]
         with pytest.raises(ValidationError):
             degradation_study(runs, judgments, [0.0], ["lexirecall"], samples=1)
+
+    @pytest.mark.parametrize(
+        "methods", [["lexirecall", "lexirecall"], ["metric:AP", "AP"], ["tse", "TSE"]]
+    )
+    def test_repeated_method_label_rejected(self, rng, methods):
+        runs, judgments = _synthetic_collection(rng, n_requests=5)
+        with pytest.raises(ValidationError, match="given more than once"):
+            degradation_study(runs, judgments, [0.0], methods, samples=1)
 
 
 class TestStableSeed:

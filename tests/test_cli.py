@@ -334,6 +334,31 @@ class TestDeterminismAndErrors:
         assert err.startswith("error:") and "--fractions" in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "methods,label",
+        [(["lexirecall", "lexirecall"], "lexirecall"), (["metric:AP", "AP"], "AP")],
+        ids=["lexirecall-twice", "AP-two-spellings"],
+    )
+    def test_repeated_degrade_method_fails_cleanly(self, tmp_path, capsys, methods, label):
+        # Each label owns one row per fraction; a repeat used to fold both
+        # methods' samples into it and report agreement_with_full 2.
+        out = tmp_path / "x.tsv"
+        argv = ["degrade", *data_args(out)]
+        for method in methods:
+            argv += ["--method", method]
+        assert run_cli(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and repr(label) in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
+        out = tmp_path / "x.tsv"
+        argv = ["ties", "--mode", "empirical", "--corpus-size", "100", "--seed", "-1"]
+        assert run_cli([*argv, "--out", out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "seed" in err and "Traceback" not in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
     @pytest.mark.parametrize(

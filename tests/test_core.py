@@ -182,6 +182,15 @@ class TestDomainTypes:
         assert rp.positions == (2, 5)
         assert all(type(p) is int for p in rp.positions)
 
+    @pytest.mark.parametrize("corpus_size", [10.5, 10.0, "10"])
+    def test_non_integer_corpus_size_rejected(self, corpus_size):
+        with pytest.raises(ValidationError, match="corpus_size must be an integer"):
+            RelevantPositions((1, 2), corpus_size)
+
+    def test_numpy_integer_corpus_size_stored_as_int(self):
+        rp = RelevantPositions((1, 2), np.int64(10))
+        assert type(rp.corpus_size) is int and rp == RelevantPositions((1, 2), 10)
+
     def test_positions_must_fit_corpus(self):
         with pytest.raises(ValidationError):
             RelevantPositions((5, 11), 10)
