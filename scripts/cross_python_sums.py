@@ -10,6 +10,10 @@ copied into a temporary package, so interpreters without numpy can import
 them. A seeded sample of 3000 position vectors (m from 5 to 200 in a
 corpus of 10^6) is scored with ``metrics.evaluate`` under this interpreter
 and under each INTERPRETER, and the ``repr`` of every score is compared.
+Each interpreter scores every vector twice, metrics in forward order and then
+in reverse, with one ``MetricId`` object per metric: the second pass opens
+with the metric the first pass ended on, so it reads the scores the vectors
+stored. Both passes must give the same reprs.
 The generic summation form, ``robustness.user_utility``, needs numpy and is
 pinned to a left-to-right reference by the test suite instead.
 Without arguments, every ``python3.N`` on PATH (pyenv's shims excepted) and
@@ -49,11 +53,16 @@ def score(package_parent: str) -> None:
     metrics = importlib.import_module(f"{PACKAGE}.metrics")
 
     vectors = [core.RelevantPositions.from_positions(v, CORPUS_SIZE) for v in json.load(sys.stdin)]
-    out = {}
-    for name in METRICS:
-        metric = metrics.MetricId.parse(name)
-        out[name] = [repr(metrics.evaluate(metric, rp)) for rp in vectors]
-    json.dump({"version": sys.version.split()[0], "scores": out}, sys.stdout)
+    ids = {name: metrics.MetricId.parse(name) for name in METRICS}
+    forward, backward = (
+        {name: [repr(metrics.evaluate(ids[name], rp)) for rp in vectors] for name in order}
+        for order in (METRICS, METRICS[::-1])
+    )
+    repeats = sum(a != b for name in METRICS for a, b in zip(forward[name], backward[name]))
+    json.dump(
+        {"version": sys.version.split()[0], "scores": forward, "repeat_differing": repeats},
+        sys.stdout,
+    )
 
 
 def sample() -> list[list[int]]:
@@ -113,8 +122,11 @@ def main(argv: list[str] | None = None) -> int:
         if isinstance(reference, str):
             print(f"reference {sys.executable} failed: {reference}")
             return 2
-        print(f"reference: Python {reference['version']} ({sys.executable}), {VECTORS} vectors")
-        differing = 0
+        differing = reference["repeat_differing"]
+        print(
+            f"reference: Python {reference['version']} ({sys.executable}), {VECTORS} vectors, "
+            f"{differing} differing on the second pass"
+        )
         for interpreter in args.interpreters or local_interpreters():
             result = run(interpreter, parent, vectors_json)
             if isinstance(result, str):
@@ -124,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
                 name: sum(a != b for a, b in zip(reference["scores"][name], result["scores"][name]))
                 for name in reference["scores"]
             }
+            counts["second pass"] = result["repeat_differing"]
             differing += sum(counts.values())
             detail = ", ".join(f"{name} {n}" for name, n in counts.items())
             print(f"Python {result['version']} ({interpreter}): {sum(counts.values())} differing ({detail})")

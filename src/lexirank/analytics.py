@@ -42,8 +42,8 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._numpy import np
-from .core import Imputation, JudgmentSet, RankedList, RelevantPositions, project_runs
-from .errors import UndefinedResultError, ValidationError
+from .core import Imputation, JudgmentSet, Preference, RankedList, RelevantPositions, project_runs
+from .errors import UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, MetricKind, evaluate
 from .prefs import DEFAULT_TOLERANCE, PreferenceFn, make_method, metric_compare
 
@@ -336,7 +336,7 @@ def agreement_with_worst_case(
             agree += int(coin.random() < 0.5)
             continue
         pref = metric_compare(metric, rpx, rpy, tolerance)
-        if not pref.is_tie and (pref.sign > 0) == (last_x < last_y):
+        if pref is (Preference.FIRST if last_x < last_y else Preference.SECOND):
             agree += 1
     if strict == 0:
         raise UndefinedResultError("no pair has a strict worst-case order")
@@ -348,11 +348,7 @@ def _resolve_methods(
 ) -> list[tuple[str, PreferenceFn]]:
     """Labelled preference functions, one per method; a repeated label is an error."""
     resolved = [make_method(m, tolerance) for m in methods]
-    seen = set()
-    for name, _fn in resolved:
-        if name in seen:
-            raise ValidationError(f"comparison method {name!r} given more than once")
-        seen.add(name)
+    check_distinct([name for name, _fn in resolved], "comparison method")
     return resolved
 
 
@@ -368,7 +364,7 @@ def tie_fractions(
     for rpx, rpy, _m in pairs:
         total += 1
         for idx, (_name, fn) in enumerate(resolved):
-            if fn(rpx, rpy).is_tie:
+            if fn(rpx, rpy) is Preference.TIE:
                 ties[idx] += 1
     if total == 0:
         raise UndefinedResultError("empty pair stream")
@@ -506,12 +502,12 @@ def degradation_study(
                     for pi, (a, b) in enumerate(run_pairs):
                         pref = fn(degraded[q][a], degraded[q][b])
                         comparisons += 1
-                        if pref.is_tie:
+                        if pref is Preference.TIE:
                             ties += 1
                         base = full_prefs[name][qi][pi]
-                        if not base.is_tie:
+                        if base is not Preference.TIE:
                             strict_full += 1
-                            if pref.sign == base.sign:
+                            if pref is base:
                                 agree += 1
                 stats[name]["ties"] += ties / comparisons
                 stats[name]["agree"] += agree / strict_full if strict_full else 1.0

@@ -20,8 +20,8 @@ from typing import Sequence
 
 from . import analytics, io as tables, stats
 from ._numpy import np
-from .core import Imputation, RankedList, project_runs
-from .errors import LexirankError, UndefinedResultError, ValidationError
+from .core import Imputation, Preference, RankedList, project_runs
+from .errors import LexirankError, UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, evaluate
 from .prefs import make_method, parse_method
 
@@ -87,10 +87,17 @@ def _report(message: str) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
+def _metrics(args) -> list[MetricId]:
+    """The ``--metric`` ids, each label at most once."""
+    metrics = [MetricId.parse(text, args.corpus_size) for text in args.metric]
+    check_distinct([metric.label for metric in metrics], "metric")
+    return metrics
+
+
 def cmd_eval(args) -> int:
+    metrics = _metrics(args)
     judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
     runs = _load_runs(args.runs, args.corpus_size, args.depth)
-    metrics = [MetricId.parse(text, args.corpus_size) for text in args.metric]
     evaluable, skipped = _evaluable_requests(judgments)
     orphans = {
         q for run in runs.values() for q in run if q not in judgments
@@ -158,9 +165,9 @@ def cmd_compare(args) -> int:
             wins_a = wins_b = ties = 0
             for q in evaluable:
                 pref = method_fn(projected[q][tag_a], projected[q][tag_b])
-                if pref.is_tie:
+                if pref is Preference.TIE:
                     ties += 1
-                elif pref.sign > 0:
+                elif pref is Preference.FIRST:
                     wins_a += 1
                 else:
                     wins_b += 1
@@ -280,6 +287,12 @@ def cmd_ties(args) -> int:
 def cmd_simulate_agreement(args) -> int:
     rows = []
     for D in args.corpus_size:
+        metrics: list[str | MetricId] = [
+            "random" if text.lower() == "random" else MetricId.parse(text, D)
+            for text in args.metric
+        ]
+        labels = [metric if isinstance(metric, str) else metric.label for metric in metrics]
+        check_distinct(labels, "metric")
         config = analytics.SimulationConfig(
             corpus_size=D,
             m_range=tuple(args.m_range),
@@ -287,13 +300,7 @@ def cmd_simulate_agreement(args) -> int:
             seed=args.seed,
         )
         pairs = list(analytics.simulate_pairs(config))
-        for text in args.metric:
-            if text.lower() == "random":
-                metric: str | MetricId = "random"
-                label = "random"
-            else:
-                metric = MetricId.parse(text, D)
-                label = metric.label
+        for metric, label in zip(metrics, labels):
             agreement, tied = analytics.agreement_with_worst_case(
                 pairs,
                 metric,
@@ -308,10 +315,10 @@ def cmd_simulate_agreement(args) -> int:
 
 
 def cmd_orientation(args) -> int:
+    metrics = _metrics(args)
     rows = []
     for m in _m_range(args):
-        for text in args.metric:
-            metric = MetricId.parse(text, args.corpus_size)
+        for metric in metrics:
             precision, recall = analytics.orientation(metric, args.corpus_size, m)
             rows.append(
                 {

@@ -112,6 +112,12 @@ class RelevantPositions:
             raise ValidationError(f"positions must be strictly increasing, got {pos}")
         if pos and pos[-1] > D:
             raise ValidationError(f"last position {pos[-1]} exceeds corpus_size {D}")
+        # The last (metric, value) that metrics.evaluate computed; not a field.
+        object.__setattr__(self, "_score", None)
+
+    def __reduce__(self):
+        # Pickles and copies carry the fields only, never the stored score.
+        return type(self), (self.positions, self.corpus_size)
 
     @property
     def m(self) -> int:

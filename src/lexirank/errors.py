@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and one shared input check."""
 
 
 class LexirankError(Exception):
@@ -31,3 +31,12 @@ class EnumerationBudgetError(LexirankError):
 
 class UndefinedResultError(LexirankError):
     """The requested statistic is undefined on this input (e.g. no decisive pairs)."""
+
+
+def check_distinct(labels: list[str], what: str) -> None:
+    """Reject a repeated label, which would otherwise compute and print its rows twice."""
+    seen = set()
+    for label in labels:
+        if label in seen:
+            raise ValidationError(f"{what} {label!r} given more than once")
+        seen.add(label)

@@ -318,7 +318,20 @@ def metric_lexirecall(
 
 
 def evaluate(metric: MetricId, rp: RelevantPositions) -> float:
-    """Dispatch a metric instance over one position vector."""
+    """Dispatch a metric instance over one position vector.
+
+    The vector remembers the last value computed here in one private slot,
+    and a later call with the same ``MetricId`` object (``is``, not ``==``)
+    returns it. Callers that score a vector again ask for one metric at a
+    time: each ``degrade`` method over all run pairs, and ``compare``'s score
+    table before its pairs. One slot thus answers those repeats with O(1)
+    memory per vector. A per-vector dict would grow with the metrics asked,
+    on vectors that are never scored twice, and ``lru_cache`` would hash the
+    whole positions tuple on every call and keep vectors alive.
+    """
+    stored = rp._score
+    if stored is not None and stored[0] is metric:
+        return stored[1]
     pos = rp.positions
     m = len(pos)
     if m == 0:
@@ -328,37 +341,32 @@ def evaluate(metric: MetricId, rp: RelevantPositions) -> float:
         total = 0.0
         for i, p in enumerate(pos, start=1):
             total += i / p
-        return total / m
-    if kind is MetricKind.RR:
-        return 1.0 / pos[0]
-    if kind is MetricKind.NDCG:
+        value = total / m
+    elif kind is MetricKind.RR:
+        value = 1.0 / pos[0]
+    elif kind is MetricKind.NDCG:
         # Dividing the summed gains keeps the ideal ranking at exactly 1.0.
         total = 0.0
         for p in pos:
             total += 1.0 / math.log2(p + 1)
-        return total / _ndcg_z(m)
-    if kind is MetricKind.RBP:
+        value = total / _ndcg_z(m)
+    elif kind is MetricKind.RBP:
         g = metric.gamma
         total = 0.0
         for p in pos:
             total += g ** (p - 1)
-        return (1.0 - g) * total
-    if kind is MetricKind.RECALL_AT_K:
-        return bisect_right(pos, metric.k) / m
-    if kind is MetricKind.RPRECISION:
-        return bisect_right(pos, m) / m
-    if kind is MetricKind.TSE:
-        return metric.exposure.at(pos[-1])
-    if kind is MetricKind.ESL3:
-        return float(pos[-1] - m)
-    if kind is MetricKind.RECALL_ERROR:
-        return sum(pos) / m - (m + 1) / 2
-    return float(metric_lexirecall(rp, metric.epsilon))
-
-
-def exact_value(metric: MetricId, rp: RelevantPositions) -> Fraction | float:
-    """Metric value with exact arithmetic where the metric defines it."""
-    if metric.kind is MetricKind.METRIC_LEXIRECALL:
-        return metric_lexirecall(rp, metric.epsilon)
-    return evaluate(metric, rp)
-
+        value = (1.0 - g) * total
+    elif kind is MetricKind.RECALL_AT_K:
+        value = bisect_right(pos, metric.k) / m
+    elif kind is MetricKind.RPRECISION:
+        value = bisect_right(pos, m) / m
+    elif kind is MetricKind.TSE:
+        value = metric.exposure.at(pos[-1])
+    elif kind is MetricKind.ESL3:
+        value = float(pos[-1] - m)
+    elif kind is MetricKind.RECALL_ERROR:
+        value = sum(pos) / m - (m + 1) / 2
+    else:
+        value = float(metric_lexirecall(rp, metric.epsilon))
+    object.__setattr__(rp, "_score", (metric, value))
+    return value

@@ -3,8 +3,9 @@
 Four comparison routes with increasing resolution:
 
 * ``tse_compare`` looks only at the lowest-ranked relevant item;
-* ``lexirecall_compare`` breaks its ties by scanning positions bottom-up;
-* ``leximin_compare`` is the same bottom-up scan over sorted utility
+* ``lexirecall_compare`` breaks its ties at the deepest recall level where
+  the positions differ;
+* ``leximin_compare`` is the same bottom-up rule over sorted utility
   vectors, where the larger value wins; lexirecall is its lifting to
   positions, and the tests use it as that reference;
 * ``metric_compare`` reduces any scalar metric to a preference with an
@@ -20,7 +21,7 @@ from typing import Callable, Sequence
 
 from .core import Preference, RelevantPositions
 from .errors import ValidationError
-from .metrics import MetricId, exact_value
+from .metrics import MetricId, MetricKind, evaluate, metric_lexirecall
 
 DEFAULT_TOLERANCE = 1e-12
 
@@ -47,15 +48,6 @@ class UtilityVector:
         return len(self.values)
 
 
-def _bottom_up(xs: Sequence, ys: Sequence, larger_wins: bool) -> Preference:
-    """Decide at the last index where two equal-length vectors differ."""
-    for i in range(len(xs) - 1, -1, -1):
-        a, b = xs[i], ys[i]
-        if a != b:
-            return Preference.FIRST if (a > b) == larger_wins else Preference.SECOND
-    return Preference.TIE
-
-
 def leximin_compare(x: UtilityVector, y: UtilityVector) -> Preference:
     """Compare two sorted vectors from the worst-off element upward.
 
@@ -64,11 +56,16 @@ def leximin_compare(x: UtilityVector, y: UtilityVector) -> Preference:
     """
     if len(x) != len(y):
         raise ValidationError(f"vector lengths differ: {len(x)} vs {len(y)}")
-    return _bottom_up(x.values, y.values, larger_wins=True)
+    xs, ys = x.values, y.values
+    for i in range(len(xs) - 1, -1, -1):
+        a, b = xs[i], ys[i]
+        if a != b:
+            return Preference.FIRST if a > b else Preference.SECOND
+    return Preference.TIE
 
 
 def _check_same_request(rpx: RelevantPositions, rpy: RelevantPositions) -> None:
-    if rpx.m != rpy.m:
+    if len(rpx.positions) != len(rpy.positions):
         raise ValidationError(
             f"rankings judge different relevant sets: m={rpx.m} vs m={rpy.m}"
         )
@@ -87,7 +84,12 @@ def lexirecall_compare(rpx: RelevantPositions, rpy: RelevantPositions) -> Prefer
     request and judgment set are comparable, hence the m and D checks.
     """
     _check_same_request(rpx, rpy)
-    return _bottom_up(rpx.positions, rpy.positions, larger_wins=False)
+    x, y = rpx.positions, rpy.positions
+    if x == y:
+        return Preference.TIE
+    # Reversed, the tuples first differ at the deepest differing level, and
+    # integer positions compare there exactly as the bottom-up scan does.
+    return Preference.FIRST if x[::-1] < y[::-1] else Preference.SECOND
 
 
 def tse_compare(rpx: RelevantPositions, rpy: RelevantPositions) -> Preference:
@@ -122,10 +124,13 @@ def metric_compare(
     if not 0 <= tolerance < math.inf:
         raise ValidationError(f"tolerance must be a finite non-negative number, got {tolerance}")
     _check_same_request(rpx, rpy)
-    a = exact_value(metric, rpx)
-    b = exact_value(metric, rpy)
-    diff = a - b
-    tol = Fraction(tolerance) if isinstance(diff, Fraction) else tolerance
+    if metric.kind is MetricKind.METRIC_LEXIRECALL:
+        eps = metric.epsilon
+        diff = metric_lexirecall(rpx, eps) - metric_lexirecall(rpy, eps)
+        tol = Fraction(tolerance)
+    else:
+        diff = evaluate(metric, rpx) - evaluate(metric, rpy)
+        tol = tolerance
     if abs(diff) <= tol:
         return Preference.TIE
     better_first = (diff > 0) == metric.higher_is_better

@@ -351,6 +351,24 @@ class TestDeterminismAndErrors:
         assert err.startswith("error:") and repr(label) in err and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["eval", *data_args("-"), "--metric", "AP", "--metric", "ap"],
+            ["simulate-agreement", "--corpus-size", "1000", "--pairs", "50",
+             "--metric", "AP", "--metric", "ap"],
+            ["orientation", "--corpus-size", "1000", "--m-range", "1", "3",
+             "--metric", "AP", "--metric", "map"],
+        ],
+        ids=["eval", "simulate-agreement", "orientation"],
+    )
+    def test_repeated_metric_fails_cleanly(self, capsys, argv):
+        # A repeated label used to compute and print every one of its rows twice.
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: metric 'AP' given more than once\n"
+        assert captured.out == ""
+
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"
         argv = ["ties", "--mode", "empirical", "--corpus-size", "100", "--seed", "-1"]

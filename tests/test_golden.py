@@ -1,4 +1,5 @@
-"""Byte-identical goldens for the simulation commands and the worst-case oracle.
+"""Byte-identical goldens for the simulation commands, the collection
+commands on a generated collection, and the worst-case oracle.
 
 Every golden pins its output bit for bit: the command goldens are written
 with ``--format json`` (``repr``-exact floats) and ``oracle.json`` holds
@@ -43,6 +44,53 @@ COMMANDS = {
 def test_command_matches_golden(tmp_path, name):
     out = tmp_path / name
     assert main([*COMMANDS[name], "--format", "json", "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def write_collection(directory: Path) -> list[str]:
+    """Write a seeded collection; return its ``--runs``/``--qrels`` flags.
+
+    Six runs of depth 30 over a corpus of 5000 and ten requests with 3 to 40
+    relevant items from a pool of 120, so most position vectors end in long
+    imputed tails that several runs share. Request q07 is missing from run 2.
+    """
+    draw = random.Random(2302)
+    pool = [f"d{i:03d}" for i in range(1, 121)]
+    requests = [f"q{i:02d}" for i in range(1, 11)]
+    qrels = directory / "qrels.txt"
+    with qrels.open("w", encoding="utf-8") as fh:
+        for q in requests:
+            for item in sorted(draw.sample(pool, draw.randint(3, 40))):
+                fh.write(f"{q} 0 {item} 1\n")
+    flags = ["--qrels", str(qrels), "--corpus-size", "5000"]
+    for r in range(1, 7):
+        path = directory / f"run{r}.txt"
+        with path.open("w", encoding="utf-8") as fh:
+            for q in requests:
+                if (r, q) == (2, "q07"):
+                    continue
+                for rank, item in enumerate(draw.sample(pool, 30), start=1):
+                    fh.write(f"{q} Q0 {item} {rank} {31 - rank}.0 sys{r}\n")
+        flags += ["--runs", str(path)]
+    return flags
+
+
+COLLECTION_COMMANDS = {
+    "compare_lexirecall.json": ["compare", "--method", "lexirecall"],
+    "compare_hsd.json": ["compare", "--method", "metric:AP", "--hsd"],
+    "degrade.json": [
+        "degrade", "--method", "lexirecall", "--method", "metric:AP",
+        "--method", "metric:recall@10", "--samples", "2", "--fractions", "0,0.5",
+    ],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLLECTION_COMMANDS))
+def test_collection_command_matches_golden(tmp_path, name):
+    flags = write_collection(tmp_path)
+    out = tmp_path / name
+    argv = [*COLLECTION_COMMANDS[name], *flags, "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
 
 

@@ -1,10 +1,14 @@
 """Hypothesis suites for order structure and metric behaviour under edits."""
 
+import copy
+import dataclasses
 import importlib.util
 import math
 import operator
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from functools import partial, reduce
 from pathlib import Path
 
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 from lexirank import (
     ExposureModel,
     MetricId,
+    MetricKind,
     NormalizationModel,
     Preference,
     RelevantPositions,
@@ -30,6 +35,7 @@ from lexirank import (
     tse_compare,
     user_utility,
 )
+from lexirank.errors import UnevaluableRequestError
 
 from conftest import recall_level_form
 from rank_scenarios import contiguous_lift_case, retrieval_growth_case, swap_up_case
@@ -207,6 +213,106 @@ class TestSummationOrder:
         assert recall_level_form(vec, exposure, norm).hex() == full.hex()
         assert user_utility(vec, subset, exposure, norm).hex() == user.hex()
         assert provider_utility(vec, exposure, subset).hex() == provider.hex()
+
+
+def _metric_factories(D: int) -> list:
+    """One factory per metric kind (TSE once per exposure); each call builds a new id."""
+    return [
+        MetricId.ap,
+        MetricId.rr,
+        MetricId.ndcg,
+        lambda: MetricId.rbp(0.9),
+        lambda: MetricId.recall_at(50),
+        MetricId.r_precision,
+        MetricId.tse,
+        lambda: MetricId.tse(ExposureModel.log2()),
+        lambda: MetricId.tse(ExposureModel.geometric(0.8)),
+        lambda: MetricId.tse(ExposureModel.linear(D)),
+        MetricId.esl3,
+        MetricId.recall_error,
+        lambda: MetricId.metric_lexirecall(Fraction(1, 3)),
+    ]
+
+
+def test_metric_factories_cover_every_kind():
+    assert {make().kind for make in _metric_factories(10)} == set(MetricKind)
+
+
+class TestStoredScore:
+    """``evaluate`` remembers its last (metric, value) on the vector; the
+    stored value must be the value itself and invisible everywhere else."""
+
+    @settings(max_examples=200)
+    @given(position_vectors(max_corpus=10**6, max_m=60), st.data())
+    def test_stored_score_matches_fresh_copy_bitwise(self, vec, data):
+        factories = _metric_factories(vec.corpus_size)
+        metric = factories[0]()
+        for _ in range(data.draw(st.integers(min_value=1, max_value=12))):
+            choice = data.draw(st.sampled_from(["same", "equal", "other"]))
+            if choice == "equal":
+                metric = dataclasses.replace(metric)
+            elif choice == "other":
+                metric = data.draw(st.sampled_from(factories))()
+            value = evaluate(metric, vec)
+            fresh = RelevantPositions(vec.positions, vec.corpus_size)
+            assert value.hex() == evaluate(metric, fresh).hex(), metric
+            assert evaluate(metric, vec).hex() == value.hex(), metric
+
+    def test_unevaluable_vector_stores_nothing(self):
+        empty = RelevantPositions((), 10)
+        metric = MetricId.ap()
+        for _ in range(2):
+            with pytest.raises(UnevaluableRequestError):
+                evaluate(metric, empty)
+            assert empty._score is None
+
+    @settings(max_examples=100)
+    @given(position_vectors(max_corpus=10**6, max_m=60), st.integers(min_value=0, max_value=12))
+    def test_stored_score_is_invisible(self, vec, pick):
+        fresh = RelevantPositions(vec.positions, vec.corpus_size)
+        evaluate(_metric_factories(vec.corpus_size)[pick](), vec)
+        assert vec == fresh and hash(vec) == hash(fresh) and repr(vec) == repr(fresh)
+        names = [field.name for field in dataclasses.fields(vec)]
+        assert names == ["positions", "corpus_size"]
+        assert pickle.dumps(vec) == pickle.dumps(fresh)
+        for twin in (pickle.loads(pickle.dumps(vec)), copy.copy(vec), copy.deepcopy(vec)):
+            assert twin == vec and twin._score is None
+
+
+def bottom_up_lexirecall(x: RelevantPositions, y: RelevantPositions) -> Preference:
+    """Reference rule: the deepest level where positions differ decides, the
+    smaller position winning."""
+    for a, b in zip(reversed(x.positions), reversed(y.positions)):
+        if a != b:
+            return Preference.FIRST if a < b else Preference.SECOND
+    return Preference.TIE
+
+
+@st.composite
+def tail_sharing_pairs(draw):
+    """Two vectors with m up to 200 that share their bottom ``shared`` levels,
+    the imputed tail of a corpus of up to 10^6, with heads drawn from the top
+    ``span`` positions (a short span makes heads collide and differ deep)."""
+    D = draw(st.integers(min_value=200, max_value=10**6))
+    m = draw(st.integers(min_value=1, max_value=200))
+    shared = draw(st.integers(min_value=0, max_value=m))
+    span = draw(st.integers(min_value=m, max_value=D))
+    tail = tuple(range(D - shared + 1, D + 1))
+    top = range(1, min(span, D - shared) + 1)
+    rnd = draw(st.randoms(use_true_random=False))
+    x = tuple(sorted(rnd.sample(top, m - shared))) + tail
+    same = draw(st.integers(min_value=0, max_value=4)) == 0
+    y = x if same else tuple(sorted(rnd.sample(top, m - shared))) + tail
+    return RelevantPositions(x, D), RelevantPositions(y, D)
+
+
+class TestLexirecallScan:
+    @settings(max_examples=300)
+    @given(tail_sharing_pairs())
+    def test_equals_bottom_up_reference(self, pair):
+        x, y = pair
+        assert lexirecall_compare(x, y) is bottom_up_lexirecall(x, y)
+        assert lexirecall_compare(y, x) is bottom_up_lexirecall(y, x)
 
 
 CROSS_PYTHON_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cross_python_sums.py"
