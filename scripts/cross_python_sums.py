@@ -1,26 +1,31 @@
 #!/usr/bin/env python3
-"""Check that metric scores have the same bits under every local Python.
+"""Check that metric scores and parsed run files are the same under every local Python.
 
 Usage, from the repository root:
 
     python3 scripts/cross_python_sums.py [INTERPRETER ...]
 
-The pure-Python modules ``core.py``, ``errors.py`` and ``metrics.py`` are
-copied into a temporary package, so interpreters without numpy can import
-them. A seeded sample of 3000 position vectors (m from 5 to 200 in a
-corpus of 10^6) is scored with ``metrics.evaluate`` under this interpreter
-and under each INTERPRETER, and the ``repr`` of every score is compared.
-Each interpreter scores every vector twice, metrics in forward order and then
-in reverse, with one ``MetricId`` object per metric: the second pass opens
-with the metric the first pass ended on, so it reads the scores the vectors
-stored. Both passes must give the same reprs.
+The pure-Python modules ``core.py``, ``errors.py``, ``io.py`` and
+``metrics.py`` are copied into a temporary package, so interpreters without
+numpy can import them. A seeded sample of 3000 position vectors (m from 5 to
+200 in a corpus of 10^6) is scored with ``metrics.evaluate`` under this
+interpreter and under each INTERPRETER, and the ``repr`` of every score is
+compared. Each interpreter scores every vector twice, metrics in forward
+order and then in reverse, with one ``MetricId`` object per metric: the
+second pass opens with the metric the first pass ended on, so it reads the
+scores the vectors stored. Both passes must give the same reprs.
+Each interpreter also parses a seeded run file (shuffled lines, tied scores,
+non-ASCII item ids and separators, blank lines) with the line loop and with
+the bulk parser. The two must agree, and the rankings and the rank-mismatch
+count must equal the reference's.
 The generic summation form, ``robustness.user_utility``, needs numpy and is
 pinned to a left-to-right reference by the test suite instead.
 Without arguments, every ``python3.N`` on PATH (pyenv's shims excepted) and
 every pyenv version from 3.10 on is tried, each once; one that cannot run the
 modules is reported and skipped.
-The exit status is 1 when any score differs. The test suite runs it under the
-local interpreters that lack numpy, and skips that test when there is none.
+The exit status is 1 when any score or ranking differs. The test suite runs
+it under the local interpreters that lack numpy, and skips that test when
+there is none.
 """
 
 from __future__ import annotations
@@ -37,13 +42,36 @@ import sys
 import tempfile
 from pathlib import Path
 
-PURE_MODULES = ("core.py", "errors.py", "metrics.py")
+PURE_MODULES = ("core.py", "errors.py", "io.py", "metrics.py")
 PACKAGE = "lexirank_pure"
 SRC = Path(__file__).resolve().parent.parent / "src" / "lexirank"
 CORPUS_SIZE = 10**6
 VECTORS = 3000
 SEED = 20231
 METRICS = ("AP", "NDCG", "rbp:0.8", "RR", "recall@1000", "RPrecision", "TSE", "tse:log2")
+RUN_FILE = "run.txt"
+RUN_LINES = 5000
+
+
+def write_run_file(path: str) -> None:
+    """A valid run file whose order the parser must undo: 40 requests in
+    shuffled lines, scores from a few values so that most of them tie, ranks
+    that often disagree with them, non-ASCII ids and separators, blank lines."""
+    rng = random.Random(SEED)
+    items = ["d", "D", "d\u00e9", "\u6587\u6863", "doc-"]
+    separators = [" ", "\t", "  ", "\u3000", "\x85"]
+    lines = []
+    for n in range(RUN_LINES):
+        request = f"q{n % 40}"
+        fields = [request, "Q0", f"{rng.choice(items)}{n}", str(rng.randint(1, 200)),
+                  rng.choice(["0.5", "1", "-0.0", "0.0", "2.25", f"{rng.random():.3f}"]), "tag"]
+        line = fields[0]
+        for field in fields[1:]:
+            line += rng.choice(separators) + field
+        lines.append(line + "\n")
+    lines += ["\n", "  \n"]
+    rng.shuffle(lines)
+    Path(path).write_text("".join(lines), encoding="utf-8")
 
 
 def score(package_parent: str) -> None:
@@ -59,8 +87,21 @@ def score(package_parent: str) -> None:
         for order in (METRICS, METRICS[::-1])
     )
     repeats = sum(a != b for name in METRICS for a, b in zip(forward[name], backward[name]))
+    io = importlib.import_module(f"{PACKAGE}.io")
+    run_file = os.path.join(package_parent, RUN_FILE)
+    runs, rank_mismatches = lines = io._parse_run_lines(run_file, CORPUS_SIZE)
+    parsed = {
+        "rankings": [[q, list(ranking.items)] for q, ranking in runs.items()],
+        "rank_mismatches": rank_mismatches,
+        "bulk_differs": io._parse_run_bulk(run_file, CORPUS_SIZE) != lines,
+    }
     json.dump(
-        {"version": sys.version.split()[0], "scores": forward, "repeat_differing": repeats},
+        {
+            "version": sys.version.split()[0],
+            "scores": forward,
+            "repeat_differing": repeats,
+            "parsed": parsed,
+        },
         sys.stdout,
     )
 
@@ -103,6 +144,16 @@ def run(interpreter: str, package_parent: str, vectors_json: str) -> dict | str:
     return json.loads(proc.stdout)
 
 
+def parse_differences(reference: dict, result: dict) -> int:
+    """Requests of the run file ranked unlike the reference, one more for a
+    different rank-mismatch count, and one for a bulk parse that deferred to
+    or disagreed with the line loop."""
+    ref, got = reference["parsed"], result["parsed"]
+    differing = sum(a != b for a, b in zip(ref["rankings"], got["rankings"]))
+    differing += abs(len(ref["rankings"]) - len(got["rankings"]))
+    return differing + (ref["rank_mismatches"] != got["rank_mismatches"]) + got["bulk_differs"]
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("interpreters", nargs="*", help="default: local python3.N and pyenv")
@@ -118,14 +169,15 @@ def main(argv: list[str] | None = None) -> int:
         Path(parent, PACKAGE, "__init__.py").write_text("")
         for name in PURE_MODULES:
             shutil.copy(SRC / name, os.path.join(parent, PACKAGE, name))
+        write_run_file(os.path.join(parent, RUN_FILE))
         reference = run(sys.executable, parent, vectors_json)
         if isinstance(reference, str):
             print(f"reference {sys.executable} failed: {reference}")
             return 2
-        differing = reference["repeat_differing"]
+        differing = reference["repeat_differing"] + parse_differences(reference, reference)
         print(
             f"reference: Python {reference['version']} ({sys.executable}), {VECTORS} vectors, "
-            f"{differing} differing on the second pass"
+            f"{RUN_LINES} run lines, {differing} differing"
         )
         for interpreter in args.interpreters or local_interpreters():
             result = run(interpreter, parent, vectors_json)
@@ -137,6 +189,7 @@ def main(argv: list[str] | None = None) -> int:
                 for name in reference["scores"]
             }
             counts["second pass"] = result["repeat_differing"]
+            counts["run file"] = parse_differences(reference, result)
             differing += sum(counts.values())
             detail = ", ".join(f"{name} {n}" for name, n in counts.items())
             print(f"Python {result['version']} ({interpreter}): {sum(counts.values())} differing ({detail})")

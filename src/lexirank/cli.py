@@ -41,14 +41,14 @@ def _load_runs(
     ``depth`` truncates every ranking to its top entries before projection,
     which is how retrieval-depth studies are driven on real collections.
     """
+    if depth is not None and depth < 1:
+        raise ValidationError(f"depth must be positive, got {depth}")
     runs: dict[str, dict[str, object]] = {}
     for path in paths:
         parsed = tables.parse_run_file(path, corpus_size)
         if not parsed:
             raise ValidationError(f"run file {path} is empty")
         if depth is not None:
-            if depth < 1:
-                raise ValidationError(f"depth must be positive, got {depth}")
             parsed = {
                 request_id: RankedList(
                     request_id=ranked.request_id,

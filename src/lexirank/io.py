@@ -7,10 +7,19 @@ ascending as the tiebreak; the rank column is validated but never trusted.
 Scores must be finite, and every line of a run file must carry the same
 system tag.
 
-Run files are parsed in bulk: blocks of lines are split at once and their
-columns converted and ordered in numpy. Any line the bulk path cannot vouch
-for sends the whole file to the plain line loop, which raises the error with
-its file and line. Both paths give the same rankings, warnings and errors.
+Run files are parsed in bulk, in plain Python and without numpy. Each block
+of lines is split once, with every line end marked by a token of its own, so
+that one count shows whether every line has six fields; a block that fails
+it is split line by line, dropping blank lines. The columns are stride
+slices; scores are converted with ``float``, and rank fields are compared as
+text with the positions and converted with ``int`` only in a request where
+they differ. One stable sort groups the lines by request, and one per
+request orders it by score, with item ids breaking ties only where scores
+are equal. A line without six fields, a conversion that fails, a non-finite
+score, a second tag, undecodable bytes or a ranking ``RankedList`` refuses
+sends the whole file to the line loop, whose only job is to raise the error
+with its file and line. Both paths give the same rankings, warnings and
+errors.
 """
 
 from __future__ import annotations
@@ -18,30 +27,38 @@ from __future__ import annotations
 import json
 import logging
 import math
+import operator
 import os
+import re
 import stat
+from collections import Counter
 from pathlib import Path
 from typing import IO, Iterable, Mapping, Sequence
 
-from ._numpy import np
 from .core import JudgmentSet, RankedList
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
 
-# Characters per block of the bulk run-file reader. A whole-file read would
-# keep the token arenas pinned by the item strings that outlive the split.
+# Characters per block of the bulk run-file reader, which ends each block at a
+# line end. A whole-file read would keep the token arenas pinned by the item
+# strings that outlive the split.
 _BLOCK_CHARS = 1 << 16
 
-# A byte per ASCII code, 1 for the characters str.split() splits on:
-# \t \n \v \f \r, the separators \x1c-\x1f and the space. Bytes, not an
-# array, so that importing this module does not load numpy.
-_ASCII_WHITESPACE = bytes(c in b"\t\n\v\f\r\x1c\x1d\x1e\x1f " for c in range(256))
+# Stands in for every line end before a block is split, so that each line
+# ends in a token of its own. A block that holds it is split line by line.
+_END = "\x00"
+
+# What undecodable bytes become when a file is read with surrogateescape.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    with open(path, "r", encoding="utf-8") as fh:
+    """Numbered non-blank lines, stripped; ``ParseError`` at one that is not UTF-8."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, raw in enumerate(fh, start=1):
+            if not raw.isascii() and _UNDECODABLE.search(raw):
+                raise ParseError("line is not valid UTF-8", path=str(path), line=number)
             line = raw.strip()
             if line:
                 yield number, line
@@ -53,16 +70,12 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
     ``corpus_size`` is attached to every ranking; it is configuration, not
     file content. Rank columns that disagree with the score ordering are
     reported as a warning because the scores are authoritative. A malformed
-    line, a non-finite score, a second system tag or a repeated item of a
-    request is a ``ParseError`` with its file and line.
+    line, bytes that are not UTF-8, a non-finite score, a second system tag
+    or a repeated item of a request is a ``ParseError`` with its file and
+    line.
 
-    The file is read in blocks of lines, each split once and checked for
-    six fields per line and one tag; ranks and scores are converted per
-    column and the rankings ordered with a stable numpy sort. Anything else
-    (non-ASCII text, a conversion that fails or overflows int64, a
-    non-finite score, a ranking ``RankedList`` refuses) reparses the whole
-    file with the line loop, which raises the first error in line order. So
-    the result, the warning and every error are the same on both paths.
+    A file the bulk parser (see the module docstring) does not accept is
+    reparsed by the line loop, which raises the first error in line order.
     """
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
@@ -79,83 +92,86 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
     return runs
 
 
-def _fields_per_line(text: str) -> np.ndarray:
-    """Number of ``str.split()`` fields on each line of ASCII ``text``."""
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    space = np.frombuffer(_ASCII_WHITESPACE, dtype=bool).take(buf)
-    field_start = ~space
-    field_start[1:] &= space[:-1]
-    line_ends = np.append(np.flatnonzero(buf == ord("\n")), len(buf))
-    return np.diff(np.searchsorted(np.flatnonzero(field_start), line_ends), prepend=0)
+def _block_fields(text: str) -> list[str] | None:
+    """Seven tokens per line that is not blank: its six fields, then ``_END``.
+
+    ``None`` if a line that is not blank has other than six fields.
+    """
+    if _END not in text:
+        tokens = text.replace("\n", f" {_END} ").split()
+        # As many end marks as lines, each 7th token one: six fields a line.
+        # A file's last line without its line end fails this: split by line.
+        lines = text.count("\n")
+        if len(tokens) == 7 * lines and tokens[6::7].count(_END) == lines:
+            return tokens
+    tokens = []
+    for line in text.split("\n"):
+        fields = line.split()
+        if len(fields) == 6:
+            tokens += fields
+            tokens.append(_END)
+        elif fields:
+            return None
+    return tokens
 
 
 def _parse_run_bulk(
     path: str | Path, corpus_size: int
 ) -> tuple[dict[str, RankedList], int] | None:
     """Rankings and rank-mismatch count, or ``None`` to defer to the line loop."""
-    codes: dict[str, int] = {}  # request id -> order of first appearance
-    code_blocks: list[np.ndarray] = []
-    rank_blocks: list[np.ndarray] = []
-    score_blocks: list[np.ndarray] = []
+    requests: list[str] = []
     items: list[str] = []
+    rank_texts: list[str] = []
+    scores: list[float] = []
     tag = None
-    # Undecodable bytes become surrogates, which are not ASCII, so the line
-    # loop meets them in line order and raises as it always did.
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while block := fh.readlines(_BLOCK_CHARS):
-            text = "".join(block)
-            if not text.isascii():
-                return None
-            fields = _fields_per_line(text)
-            if not ((fields == 0) | (fields == 6)).all():
-                return None
-            tokens = text.split()
-            if not tokens:
-                continue
-            tags = tokens[5::6]
-            if tag is None:
-                tag = tags[0]
-            if tags.count(tag) != len(tags):
-                return None
-            requests = tokens[0::6]
-            for request_id in dict.fromkeys(requests):
-                codes.setdefault(request_id, len(codes))
-            n = len(requests)
-            try:
-                rank_blocks.append(np.fromiter(map(int, tokens[3::6]), np.int64, n))
-                score_blocks.append(np.fromiter(map(float, tokens[4::6]), np.float64, n))
-            except (ValueError, OverflowError):  # a bad rank or score, a rank past int64
-                return None
-            code_blocks.append(np.fromiter(map(codes.__getitem__, requests), np.intp, n))
-            items += tokens[2::6]
-    if not items:
-        return {}, 0
-    code = np.concatenate(code_blocks)
-    score = np.concatenate(score_blocks)
-    if not np.isfinite(score).all():
-        return None
-    order = np.lexsort((-score, code))
-    code, score = code[order], score[order]
-    # The stable sort leaves equal scores in file order; break those ties by
-    # item id, as the line loop's sort key does.
-    group_starts = np.flatnonzero(
-        np.concatenate(([True], (code[1:] != code[:-1]) | (score[1:] != score[:-1])))
-    )
-    bounds = np.append(group_starts, len(order))
-    tied = np.flatnonzero(np.diff(bounds) > 1)
-    for lo, hi in zip(bounds[tied].tolist(), bounds[tied + 1].tolist()):
-        order[lo:hi] = sorted(order[lo:hi].tolist(), key=items.__getitem__)
-    ranked = list(map(items.__getitem__, order.tolist()))
-    offsets = np.concatenate(([0], np.cumsum(np.bincount(code, minlength=len(codes)))))
-    position = np.arange(1, len(ranked) + 1) - offsets[code]
-    rank_mismatches = int(np.count_nonzero(np.concatenate(rank_blocks)[order] != position))
-    edges = offsets.tolist()
     try:
-        runs = {
-            request_id: RankedList(request_id, tuple(ranked[lo:hi]), corpus_size, tag)
-            for request_id, lo, hi in zip(codes, edges, edges[1:])
-        }
-    except ValidationError:  # a repeated item, or more items than corpus_size
+        with open(path, "r", encoding="utf-8") as fh:
+            while text := fh.read(_BLOCK_CHARS):
+                tokens = _block_fields(text + fh.readline())
+                if tokens is None:
+                    return None
+                if not tokens:
+                    continue
+                tags = tokens[5::7]
+                if tag is None:
+                    tag = tags[0]
+                if tags.count(tag) != len(tags):
+                    return None
+                requests += tokens[0::7]
+                items += tokens[2::7]
+                rank_texts += tokens[3::7]
+                scores += map(float, tokens[4::7])
+    except ValueError:  # undecodable bytes (UnicodeDecodeError), a bad score
+        return None
+    if not all(map(math.isfinite, scores)):
+        return None
+    # Row indices grouped by request, requests in order of first appearance.
+    lines_per_request = Counter(requests)
+    code = dict(zip(lines_per_request, range(len(lines_per_request))))
+    order = sorted(range(len(requests)), key=list(map(code.__getitem__, requests)).__getitem__)
+    # The rank fields of a request that agree with its order, as usually written.
+    numerals = list(map(str, range(1, max(lines_per_request.values(), default=0) + 1)))
+    runs = {}
+    rank_mismatches = 0
+    hi = 0
+    try:
+        for request_id, count in lines_per_request.items():
+            lo, hi = hi, hi + count
+            rows = order[lo:hi]
+            rows.sort(key=scores.__getitem__, reverse=True)
+            ranked_scores = list(map(scores.__getitem__, rows))
+            if any(map(operator.eq, ranked_scores, ranked_scores[1:])):
+                # Equal scores, left in file order by the stable sort: order
+                # by item id, then again by score, as the line loop's key does.
+                rows.sort(key=items.__getitem__)
+                rows.sort(key=scores.__getitem__, reverse=True)
+            ranked_texts = list(map(rank_texts.__getitem__, rows))
+            if ranked_texts != numerals[:count]:  # int() also rejects a bad rank
+                positions = range(1, count + 1)
+                rank_mismatches += sum(map(operator.ne, map(int, ranked_texts), positions))
+            ranked = tuple(map(items.__getitem__, rows))
+            runs[request_id] = RankedList(request_id, ranked, corpus_size, tag)
+    except (ValueError, ValidationError):  # a bad rank, a repeated item, too many items
         return None
     return runs, rank_mismatches
 

@@ -306,6 +306,32 @@ class TestDeterminismAndErrors:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "kind,bad_line",
+        [("runs", b"q9 Q0 d\xff 1 1.0 sysA\n"), ("qrels", b"q9 0 d\xff 1\n")],
+        ids=["runs", "qrels"],
+    )
+    def test_undecodable_bytes_fail_with_file_and_line(self, tmp_path, capsys, kind, bad_line):
+        good = Path(RUNS[0] if kind == "runs" else QRELS).read_bytes()
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(good + bad_line)
+        out = tmp_path / "x.tsv"
+        argv = data_args(out, runs=[bad, RUNS[1]]) if kind == "runs" else data_args(out)
+        if kind == "qrels":
+            argv[argv.index("--qrels") + 1] = bad
+        assert run_cli(["eval", *argv]) == 1
+        line = good.count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: line is not valid UTF-8 [{bad}:{line}]\n"
+        assert not out.exists()
+
+    def test_bad_depth_fails_before_any_run_is_read(self, tmp_path, capsys):
+        empty = tmp_path / "empty.txt"
+        empty.write_text("")
+        out = tmp_path / "x.tsv"
+        assert run_cli(["eval", *data_args(out, runs=[empty]), "--depth", "0"]) == 1
+        assert capsys.readouterr().err == "error: depth must be positive, got 0\n"
+        assert not out.exists()
+
     def test_missing_output_directory_names_the_destination(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.tsv"
         assert run_cli(["eval", *data_args(out)]) == 1
@@ -462,8 +488,11 @@ class TestImports:
     @pytest.mark.parametrize(
         "argv",
         [[], ["ties", "--mode", "analytic", "--corpus-size", "1000000", "--m-range", "1", "4"],
-         ["orientation", "--corpus-size", "1000", "--m-range", "1", "3"]],
-        ids=["import", "ties-analytic", "orientation"],
+         ["orientation", "--corpus-size", "1000", "--m-range", "1", "3"],
+         ["eval", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS, "--corpus-size", "50"],
+         ["compare", "--method", "lexirecall", "--runs", RUNS[0], "--runs", RUNS[1],
+          "--qrels", QRELS, "--corpus-size", "50"]],
+        ids=["import", "ties-analytic", "orientation", "eval", "compare-lexirecall"],
     )
     def test_closed_forms_never_run_numpy(self, tmp_path, argv):
         code = "import lexirank.cli"

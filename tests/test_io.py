@@ -90,6 +90,14 @@ class TestParseRunFile:
         assert runs["q1"].items == ("d1", "d2")
         assert any("rank" in record.message for record in caplog.records)
 
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_bytes(b"q1 Q0 d1 1 2.0 t\nq1 Q0 d\xe9 2 1.0 t\nq1 Q0 d3 3 0.5 t\n")
+        with pytest.raises(ParseError) as err:
+            parse_run_file(path, corpus_size=10)
+        assert (err.value.path, err.value.line) == (str(path), 2)
+        assert "UTF-8" in str(err.value)
+
     def test_reserialization_preserves_order(self, tmp_path):
         original = parse_run_file(FIXTURES / "run_a.txt", corpus_size=50)
         rewritten = tmp_path / "copy.txt"
@@ -106,11 +114,16 @@ class TestParseRunFile:
 
 # Run-file pieces for the bulk/line-loop property: score spellings with ties
 # (0.0 against -0.0 among them), every ASCII separator str.split() knows,
-# both line ends, blank lines, and one non-ASCII item id.
+# both line ends, blank lines, and one non-ASCII item id. The non-ASCII
+# separators split fields for str.split() but do not end a line when a file
+# is read.
 _REQUESTS = ["q1", "q2", "q10"]
 _ITEMS = ["d1", "d2", "d3", "d10", "D2", "d-4", "d\u00e9"]
 _SCORES = ["0.0", "-0.0", "0", "-0", "1.5", "+1.5", "1.50", "2", "-3e-2", "7"]
+# Rank spellings: the usual numerals, and others int() reads as the same rank.
+_RANKS = ["1", "2", "3", "4", "01", "+2", "0", "1_0"]
 _SEPARATORS = [" ", "   ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \t"]
+_NON_ASCII_SEPARATORS = ["\u3000", "\x85", "\u2028"]
 _PADDING = ["", " ", "\t "]
 _LINE_ENDS = ["\n", "\r\n"]
 _BLANK_LINES = ["", "   ", "\t"]
@@ -132,21 +145,22 @@ def _run_lines(draw, ascii_only: bool) -> list[list[str]]:
         )
     )
     return [
-        [request, "Q0", item, str(draw(st.integers(1, 4))), draw(st.sampled_from(_SCORES)), "tg"]
+        [request, "Q0", item, draw(st.sampled_from(_RANKS)), draw(st.sampled_from(_SCORES)), "tg"]
         for request, item in keys
     ]
 
 
 @st.composite
-def _layout(draw, rows: list[list[str]]) -> bytes:
+def _layout(draw, rows: list[list[str]], ascii_only: bool = True) -> bytes:
     """Serialise rows with drawn separators, padding, line ends and blank lines."""
+    separators = _SEPARATORS if ascii_only else _SEPARATORS + _NON_ASCII_SEPARATORS
     out = []
     for fields in rows:
         if draw(st.booleans()):
             out.append(draw(st.sampled_from(_BLANK_LINES)) + draw(st.sampled_from(_LINE_ENDS)))
         text = fields[0]
         for field in fields[1:]:
-            text += draw(st.sampled_from(_SEPARATORS)) + field
+            text += draw(st.sampled_from(separators)) + field
         pad = st.sampled_from(_PADDING)
         out.append(draw(pad) + text + draw(pad) + draw(st.sampled_from(_LINE_ENDS)))
     if draw(st.booleans()):  # a last line without its line end
@@ -218,12 +232,11 @@ class TestBulkParserMatchesLineLoop:
     def test_valid_files(self, tmp_path_factory, data, ascii_only, block):
         rows = data.draw(_run_lines(ascii_only))
         path = tmp_path_factory.mktemp("bulk") / "run.txt"
-        path.write_bytes(data.draw(_layout(rows)))
+        path.write_bytes(data.draw(_layout(rows, ascii_only)))
         with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
             assert _outcome(parse_run_file, path, 100) == _outcome(_line_loop, path, 100)
-            # Only the non-ASCII item id sends a valid file to the line loop.
-            deferred = lexirank.io._parse_run_bulk(path, 100) is None
-        assert deferred == any(not fields[2].isascii() for fields in rows)
+            # Non-ASCII text and blank lines stay on the bulk path.
+            assert lexirank.io._parse_run_bulk(path, 100) is not None
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), block=st.sampled_from(_BLOCK_SIZES))
@@ -293,6 +306,14 @@ class TestParseQrels:
         with pytest.raises(ParseError) as err:
             parse_qrels(path)
         assert err.value.line == 2
+
+    def test_undecodable_bytes_name_their_line(self, tmp_path):
+        path = tmp_path / "qrels.txt"
+        path.write_bytes(b"q1 0 d1 1\n\nq1 0 d2 \xff\n")
+        with pytest.raises(ParseError) as err:
+            parse_qrels(path)
+        assert (err.value.path, err.value.line) == (str(path), 3)
+        assert "UTF-8" in str(err.value)
 
     def test_threshold_can_empty_a_request(self, tmp_path):
         path = tmp_path / "qrels.txt"

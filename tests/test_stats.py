@@ -5,11 +5,14 @@ import subprocess
 import sys
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.special
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexirank import (
     ScoreMatrix,
@@ -202,6 +205,31 @@ class TestStudentizedRange:
     def test_cdf_edges(self):
         assert studentized_range_cdf(0.0, 3, 10) == 0.0
         assert studentized_range_cdf(50.0, 3, 10) == pytest.approx(1.0, abs=1e-9)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(min_value=0.01, max_value=100.0),
+        groups=st.integers(2, 50),
+        df=st.integers(1, 10**5),
+    )
+    def test_blocked_grid_matches_whole_grid_bitwise(self, q, groups, df):
+        """The normal range CDF in row blocks equals the whole-grid formula."""
+        with mock.patch.object(stats, "_normal_range_cdf", _whole_grid_normal_range_cdf):
+            expected = studentized_range_cdf(q, groups, df)
+        assert studentized_range_cdf(q, groups, df).hex() == expected.hex()
+        s_nodes, _ = stats._gauss_legendre(stats._scale_edges(q, df))
+        blocked = stats._normal_range_cdf(q * s_nodes, groups)
+        assert blocked.tobytes() == _whole_grid_normal_range_cdf(q * s_nodes, groups).tobytes()
+
+
+def _whole_grid_normal_range_cdf(x, groups):
+    """The normal range CDF on the whole (x, normal node) grid at once."""
+    z_nodes, z_weights, z_phi, z_cdf = stats._z_grid()
+    x = np.asarray(x, dtype=float)[:, None]
+    inner = z_cdf[None, :] - stats._normal_cdf(z_nodes[None, :] - x)
+    np.clip(inner, 0.0, None, out=inner)
+    vals = groups * np.sum(z_weights * z_phi * stats._int_power(inner, groups - 1), axis=1)
+    return np.clip(vals, 0.0, 1.0)
 
 
 def _sign_flip_p(a: np.ndarray, b: np.ndarray, rng, iterations=4000) -> float:
