@@ -1,20 +1,28 @@
 """Byte-identical goldens for the simulation commands, the collection
-commands on a generated collection, and the worst-case oracle.
+commands on a generated collection, the worst-case oracle, and the metric
+names.
 
 Every golden pins its output bit for bit: the command goldens are written
 with ``--format json`` (``repr``-exact floats) and ``oracle.json`` holds
 ``float.hex`` values with their witnesses. A change in draw order or
 summation order shows up here as one reviewed golden update.
+``metric_names.json`` records what ``MetricId.parse`` makes of every
+accepted spelling and of malformed ones, what each factory labels, and every
+``NormalizationModel`` weight as ``float.hex``. Labels do not round-trip
+through ``parse`` (``RBP(0.8)``, ``TSE[log2]``), so the ledger does not
+ask them to.
 """
 
 import json
 import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from lexirank import (
     ExposureModel,
+    MetricId,
     NormalizationModel,
     RelevantPositions,
     worst_case_provider,
@@ -129,3 +137,91 @@ def oracle_document() -> str:
 
 def test_oracle_matches_golden():
     assert oracle_document() == (GOLDEN / "oracle.json").read_text(encoding="utf-8")
+
+
+# Every alias in several cases and with surrounding whitespace, each
+# parameterised family's quirks and bad parameters, and unknown names.
+METRIC_SPELLINGS = [
+    "ap", "AP", "map", "MAP", "Map", " AP ", "\tap\n",
+    "rr", "RR", "mrr", "MRR", " rr ",
+    "ndcg", "NDCG", "nDCG", " ndcg ",
+    "rbp", "RBP", "rbp:", "rbp:0.9", "RBP:0.95", "rbp0.9", "rbp::0.5", "rbp:0.80",
+    "rbp:1e-3", "rbp:0.00001", "rbp:1.5", "rbp:0", "rbp:1", "rbp:-0.5", "rbp:nan",
+    "rbp:abc", "rbpx", "rbp:0.9:1",
+    "recall@100", "RECALL@10", "Recall@1", "r@5", "R@5", "recall@1_0", "recall@ 5",
+    "recall@+7", "recall@\u0661\u0660", "recall@0", "recall@-3", "recall@x",
+    "recall@5.0", "recall@", "r@", "recall", "recall@10@2",
+    "rprecision", "RPrecision", "r-precision", "R-Precision", "rprec", "RPrec", "rp", "RP",
+    "rprecisionx",
+    "tse", "TSE", " tse ", "tse:", "tse:reciprocal", "tsereciprocal", "tse:log2", "TSE:LOG2",
+    "tselog2", "tse::log2", "tse:geometric", "tse:geometric:0.9", "tse:geometricfoo",
+    "tse:geometric:", "tse:geometric:abc", "tse:geometric:1.5", "tse:linear", "tse:bogus",
+    "tsex",
+    "esl3", "ESL3", " esl3 ", "esl", "esl3x",
+    "recallerror", "RecallError", "recall-error", "recall_error", "RECALL_ERROR",
+    "mlr", "MLR", "mlr:0.25", "mlr:1/3", "mlr:0.1", "mlrfoo", "mlr:0.1:2",
+    "metric-lexirecall", "metric_lexirecall:0.1", "Metric-Lexirecall:1/4",
+    "MetricLexirecall", "mlr:abc", "mlr:1/0", "mlr:1.5", "mlr:0", "mlr:1", "mlr:nan",
+    "nope", "", "  ", "lexirecall", "P@10", "ndcg@10", "apx", "rrx", "ap:1",
+]
+
+
+def _metric_record(metric: MetricId) -> dict:
+    return {
+        "label": metric.label,
+        "higher_is_better": metric.higher_is_better,
+        "kind": metric.kind.value,
+        "gamma": repr(metric.gamma),
+        "k": repr(metric.k),
+        "epsilon": repr(metric.epsilon),
+        "exposure": repr(metric.exposure),
+    }
+
+
+def _metric_factories():
+    yield "ap()", MetricId.ap()
+    yield "rr()", MetricId.rr()
+    yield "ndcg()", MetricId.ndcg()
+    yield "rbp()", MetricId.rbp()
+    yield "rbp(0.5)", MetricId.rbp(0.5)
+    yield "rbp(0.99999)", MetricId.rbp(0.99999)
+    yield "recall_at()", MetricId.recall_at()
+    yield "recall_at(10)", MetricId.recall_at(10)
+    yield "recall_at(1)", MetricId.recall_at(1)
+    yield "r_precision()", MetricId.r_precision()
+    yield "tse()", MetricId.tse()
+    yield "tse(log2)", MetricId.tse(ExposureModel.log2())
+    yield "tse(geometric(0.9))", MetricId.tse(ExposureModel.geometric(0.9))
+    yield "tse(linear(50))", MetricId.tse(ExposureModel.linear(50))
+    yield "esl3()", MetricId.esl3()
+    yield "recall_error()", MetricId.recall_error()
+    yield "metric_lexirecall()", MetricId.metric_lexirecall()
+    yield "metric_lexirecall(0.1)", MetricId.metric_lexirecall(0.1)
+    yield "metric_lexirecall(Fraction(1, 3))", MetricId.metric_lexirecall(Fraction(1, 3))
+
+
+NORMALIZATIONS = ("ap", "rr", "ndcg", "rbp", "esl3", "uniform")
+
+
+def metric_names_document() -> str:
+    rows = []
+    for text in METRIC_SPELLINGS:
+        for corpus_size in (None, 50):
+            row = {"text": text, "corpus_size": corpus_size}
+            try:
+                row.update(_metric_record(MetricId.parse(text, corpus_size)))
+            except Exception as exc:
+                row.update(error=type(exc).__name__, message=str(exc))
+            rows.append(row)
+    for call, metric in _metric_factories():
+        rows.append({"factory": call, **_metric_record(metric)})
+    for name in NORMALIZATIONS:
+        model = getattr(NormalizationModel, name)()
+        for m in (1, 2, 5, 17):
+            weights = [model.weight(i, m).hex() for i in range(1, m + 1)]
+            rows.append({"normalization": name, "m": m, "weights": weights})
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
+
+
+def test_metric_names_match_golden():
+    assert metric_names_document() == (GOLDEN / "metric_names.json").read_text(encoding="utf-8")
