@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Check that metric scores and parsed run files are the same under every local Python.
+"""Check that metric scores, labels and parsed run files are the same under every local Python.
 
 Usage, from the repository root:
 
@@ -18,14 +18,18 @@ Each interpreter also parses a seeded run file (shuffled lines, tied scores,
 non-ASCII item ids and separators, blank lines) with the line loop and with
 the bulk parser. The two must agree, and the rankings and the rank-mismatch
 count must equal the reference's.
+Metric labels are output too (the ``metric`` column), so each interpreter
+also parses every spelling in ``tests/golden/metric_names.json`` with
+``MetricId.parse`` and reports its label and orientation, or its error; they
+must equal the reference's.
 The generic summation form, ``robustness.user_utility``, needs numpy and is
 pinned to a left-to-right reference by the test suite instead.
 Without arguments, every ``python3.N`` on PATH (pyenv's shims excepted) and
 every pyenv version from 3.10 on is tried, each once; one that cannot run the
 modules is reported and skipped.
-The exit status is 1 when any score or ranking differs. The test suite runs
-it under the local interpreters that lack numpy, and skips that test when
-there is none.
+The exit status is 1 when any score, ranking or label differs. The test
+suite runs it under the local interpreters that lack numpy, and skips that
+test when there is none.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from pathlib import Path
 
 PURE_MODULES = ("core.py", "errors.py", "io.py", "metrics.py")
 PACKAGE = "lexirank_pure"
-SRC = Path(__file__).resolve().parent.parent / "src" / "lexirank"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "lexirank"
+METRIC_NAMES = ROOT / "tests" / "golden" / "metric_names.json"
 CORPUS_SIZE = 10**6
 VECTORS = 3000
 SEED = 20231
@@ -74,6 +80,15 @@ def write_run_file(path: str) -> None:
     Path(path).write_text("".join(lines), encoding="utf-8")
 
 
+def name_record(metrics, text: str, corpus_size: int | None) -> str:
+    """What ``MetricId.parse`` makes of one spelling: label and orientation, or the error."""
+    try:
+        metric = metrics.MetricId.parse(text, corpus_size)
+        return f"{metric.label} {metric.higher_is_better}"
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def score(package_parent: str) -> None:
     """Worker: read vectors as JSON on stdin, write score reprs on stdout."""
     sys.path.insert(0, package_parent)
@@ -95,12 +110,15 @@ def score(package_parent: str) -> None:
         "rank_mismatches": rank_mismatches,
         "bulk_differs": io._parse_run_bulk(run_file, CORPUS_SIZE) != lines,
     }
+    ledger = json.loads(METRIC_NAMES.read_text(encoding="utf-8"))
+    spellings = [row for row in ledger if "text" in row]
     json.dump(
         {
             "version": sys.version.split()[0],
             "scores": forward,
             "repeat_differing": repeats,
             "parsed": parsed,
+            "labels": [name_record(metrics, row["text"], row["corpus_size"]) for row in spellings],
         },
         sys.stdout,
     )
@@ -177,7 +195,8 @@ def main(argv: list[str] | None = None) -> int:
         differing = reference["repeat_differing"] + parse_differences(reference, reference)
         print(
             f"reference: Python {reference['version']} ({sys.executable}), {VECTORS} vectors, "
-            f"{RUN_LINES} run lines, {differing} differing"
+            f"{RUN_LINES} run lines, {len(reference['labels'])} metric names, "
+            f"{differing} differing"
         )
         for interpreter in args.interpreters or local_interpreters():
             result = run(interpreter, parent, vectors_json)
@@ -190,6 +209,8 @@ def main(argv: list[str] | None = None) -> int:
             }
             counts["second pass"] = result["repeat_differing"]
             counts["run file"] = parse_differences(reference, result)
+            counts["labels"] = sum(a != b for a, b in zip(reference["labels"], result["labels"]))
+            counts["labels"] += abs(len(reference["labels"]) - len(result["labels"]))
             differing += sum(counts.values())
             detail = ", ".join(f"{name} {n}" for name, n in counts.items())
             print(f"Python {result['version']} ({interpreter}): {sum(counts.values())} differing ({detail})")

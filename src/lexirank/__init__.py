@@ -40,7 +40,6 @@ from .io import parse_qrels, parse_run_file, write_table
 from .metrics import (
     MetricId,
     MetricKind,
-    NormalizationKind,
     NormalizationModel,
     evaluate,
     metric_lexirecall,
@@ -83,7 +82,6 @@ __all__ = [
     "LexirankError",
     "MetricId",
     "MetricKind",
-    "NormalizationKind",
     "NormalizationModel",
     "ParseError",
     "Preference",

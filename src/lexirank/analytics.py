@@ -88,24 +88,21 @@ class SimulationConfig:
             raise ValidationError(f"seed must be non-negative, got {seed}")
 
 
-_TIE_METRIC_NAMES = ("tse", "recall@k", "rprecision", "lexirecall")
+_TIE_METRIC_NAMES = ("recall@k", "lexirecall")
+_TIE_METRIC_KINDS = {
+    MetricKind.TSE: "tse", MetricKind.RECALL_AT_K: "recall@k", MetricKind.RPRECISION: "rprecision",
+}
 
 
-def _tie_metric_name(metric: str | MetricId) -> tuple[str, int | None]:
-    if isinstance(metric, MetricId):
-        if metric.kind is MetricKind.TSE:
-            return "tse", None
-        if metric.kind is MetricKind.RECALL_AT_K:
-            return "recall@k", metric.k
-        if metric.kind is MetricKind.RPRECISION:
-            return "rprecision", None
+def _tie_metric_name(metric: str | MetricId, corpus_size: int) -> tuple[str, int | None]:
+    if isinstance(metric, str):
+        name = metric.strip().lower()
+        if name in _TIE_METRIC_NAMES:
+            return name, None
+        metric = MetricId.parse(metric, corpus_size)
+    if metric.kind not in _TIE_METRIC_KINDS:
         raise ValidationError(f"no closed-form tie probability for {metric.label}")
-    name = metric.strip().lower()
-    if name in _TIE_METRIC_NAMES:
-        return name, None
-    if name.startswith(("recall@", "r@")):
-        return "recall@k", int(name.split("@", 1)[1])
-    raise ValidationError(f"no closed-form tie probability for {metric!r}")
+    return _TIE_METRIC_KINDS[metric.kind], metric.k
 
 
 def _bottom_tie_numerator(corpus_size: int, m: int) -> int:
@@ -141,10 +138,13 @@ def tie_probability(
     * recall@k ties: sum_i C(k, i)^2 C(D-k, m-i)^2 / C(D, m)^2
     * R-precision ties: the recall@k form at k = m
     * positional-identity (lexirecall) ties: 1 / C(D, m)
+
+    ``metric`` is ``tse``, ``recall@k`` (with ``k``), ``rprecision``,
+    ``lexirecall``, a ``MetricId`` or any name ``MetricId.parse`` reads.
     """
     if not 1 <= m <= corpus_size:
         raise ValidationError(f"need 1 <= m <= corpus_size, got m={m}, D={corpus_size}")
-    name, metric_k = _tie_metric_name(metric)
+    name, metric_k = _tie_metric_name(metric, corpus_size)
     if metric_k is not None:
         k = metric_k
     total = math.comb(corpus_size, m)
@@ -157,8 +157,13 @@ def tie_probability(
         k = m
     elif k is None:
         raise ValidationError("recall@k tie probability needs k")
-    elif not 1 <= k <= corpus_size:
-        raise ValidationError(f"need 1 <= k <= corpus_size, got k={k}, D={corpus_size}")
+    else:
+        try:
+            k = operator.index(k)
+        except TypeError as exc:
+            raise ValidationError(f"recall@k needs an integer k: {exc}") from None
+        if not 1 <= k <= corpus_size:
+            raise ValidationError(f"need 1 <= k <= corpus_size, got k={k}, D={corpus_size}")
     num = sum(
         math.comb(k, i) ** 2 * math.comb(corpus_size - k, m - i) ** 2
         for i in range(0, m + 1)

@@ -10,7 +10,9 @@ normalization. AP, RR, NDCG, and RBP are instances of this form, which
 ``robustness.user_utility`` evaluates on any set of levels. Flat cutoff
 metrics (recall@k, R-precision), search-length metrics (ESL3, recall
 error), total search efficiency, and the exact-arithmetic bottom-weighted
-average live alongside it as standalone formulas.
+average live alongside it as standalone formulas. One table, ``_KINDS``,
+gives each ``MetricKind`` its label, its orientation and the plain names
+``MetricId.parse`` accepts.
 
 Everything here is a pure function of immutable inputs. Float sums are
 explicit left-to-right loops: ``sum()`` compensates rounding from Python 3.12
@@ -20,6 +22,7 @@ on, which would make scores depend on the interpreter.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -28,15 +31,6 @@ from functools import lru_cache
 
 from .core import ExposureModel, RelevantPositions
 from .errors import UnevaluableRequestError, ValidationError
-
-
-class NormalizationKind(str, Enum):
-    AP = "ap"
-    RR = "rr"
-    NDCG = "ndcg"
-    RBP = "rbp"
-    ESL3 = "esl3"
-    UNIFORM = "uniform"
 
 
 @lru_cache(maxsize=None)
@@ -48,51 +42,55 @@ def _ndcg_z(m: int) -> float:
     return z
 
 
+# N(i, m) of each normalization, by name.
+_NORMALIZATIONS = {
+    "ap": lambda i, m: i / m,
+    "rr": lambda i, m: 1.0 if i == 1 else 0.0,
+    "ndcg": lambda i, m: 1.0 / _ndcg_z(m),
+    "rbp": lambda i, m: 1.0,
+    "esl3": lambda i, m: 1.0 if i == m else 0.0,
+    "uniform": lambda i, m: 1.0 / m,
+}
+
+
 @dataclass(frozen=True)
 class NormalizationModel:
-    """Per-recall-level weight N(i, m), non-negative."""
+    """Per-recall-level weight N(i, m), non-negative; ``kind`` names it."""
 
-    kind: NormalizationKind
+    kind: str
+
+    def __post_init__(self) -> None:
+        if self.kind not in _NORMALIZATIONS:
+            raise ValidationError(f"unknown normalization {self.kind!r}")
 
     def weight(self, i: int, m: int) -> float:
         if not 1 <= i <= m:
             raise ValidationError(f"recall level {i} outside [1, {m}]")
-        kind = self.kind
-        if kind is NormalizationKind.AP:
-            return i / m
-        if kind is NormalizationKind.RR:
-            return 1.0 if i == 1 else 0.0
-        if kind is NormalizationKind.NDCG:
-            return 1.0 / _ndcg_z(m)
-        if kind is NormalizationKind.RBP:
-            return 1.0
-        if kind is NormalizationKind.ESL3:
-            return 1.0 if i == m else 0.0
-        return 1.0 / m
+        return _NORMALIZATIONS[self.kind](i, m)
 
     @classmethod
     def ap(cls) -> "NormalizationModel":
-        return cls(NormalizationKind.AP)
+        return cls("ap")
 
     @classmethod
     def rr(cls) -> "NormalizationModel":
-        return cls(NormalizationKind.RR)
+        return cls("rr")
 
     @classmethod
     def ndcg(cls) -> "NormalizationModel":
-        return cls(NormalizationKind.NDCG)
+        return cls("ndcg")
 
     @classmethod
     def rbp(cls) -> "NormalizationModel":
-        return cls(NormalizationKind.RBP)
+        return cls("rbp")
 
     @classmethod
     def esl3(cls) -> "NormalizationModel":
-        return cls(NormalizationKind.ESL3)
+        return cls("esl3")
 
     @classmethod
     def uniform(cls) -> "NormalizationModel":
-        return cls(NormalizationKind.UNIFORM)
+        return cls("uniform")
 
 
 class MetricKind(str, Enum):
@@ -106,6 +104,26 @@ class MetricKind(str, Enum):
     ESL3 = "esl3"
     RECALL_ERROR = "recall_error"
     METRIC_LEXIRECALL = "metric_lexirecall"
+
+
+# One row per kind: its label, a format string over gamma, k and a float
+# epsilon; whether higher values win (ESL3 and recall error measure effort);
+# and the names ``MetricId.parse`` accepts without a parameter. TSE labels a
+# non-reciprocal exposure ``TSE[...]``, and the four parameterised families
+# (rbp, recall@, tse:, mlr) are parsed by hand.
+_KINDS = {
+    MetricKind.AP: ("AP", True, ("ap", "map")),
+    MetricKind.RR: ("RR", True, ("rr", "mrr")),
+    MetricKind.NDCG: ("NDCG", True, ("ndcg",)),
+    MetricKind.RBP: ("RBP({gamma:g})", True, ()),
+    MetricKind.RECALL_AT_K: ("recall@{k}", True, ()),
+    MetricKind.RPRECISION: ("RPrecision", True, ("rprecision", "r-precision", "rprec", "rp")),
+    MetricKind.TSE: ("TSE", True, ()),
+    MetricKind.ESL3: ("ESL3", False, ("esl3",)),
+    MetricKind.RECALL_ERROR: ("RecallError", False, ("recallerror", "recall-error", "recall_error")),
+    MetricKind.METRIC_LEXIRECALL: ("MetricLexirecall({epsilon:g})", True, ()),
+}
+_PLAIN_NAMES = {name: kind for kind, (_, _, names) in _KINDS.items() for name in names}
 
 
 _DEFAULT_GAMMA = 0.8
@@ -149,7 +167,10 @@ class MetricId:
                 raise ValidationError(f"RBP gamma must lie in (0,1), got {g}")
             object.__setattr__(self, "gamma", g)
         if self.kind is MetricKind.RECALL_AT_K:
-            k = self.k if self.k is not None else _DEFAULT_K
+            try:
+                k = operator.index(self.k) if self.k is not None else _DEFAULT_K
+            except TypeError as exc:
+                raise ValidationError(f"recall@k needs an integer k: {exc}") from None
             if k < 1:
                 raise ValidationError(f"recall@k needs k >= 1, got {k}")
             object.__setattr__(self, "k", k)
@@ -201,31 +222,15 @@ class MetricId:
 
     @property
     def higher_is_better(self) -> bool:
-        """ESL3 and recall error measure effort, so lower values win."""
-        return self.kind not in (MetricKind.ESL3, MetricKind.RECALL_ERROR)
+        return _KINDS[self.kind][1]
 
     @property
     def label(self) -> str:
-        kind = self.kind
-        if kind is MetricKind.AP:
-            return "AP"
-        if kind is MetricKind.RR:
-            return "RR"
-        if kind is MetricKind.NDCG:
-            return "NDCG"
-        if kind is MetricKind.RBP:
-            return f"RBP({self.gamma:g})"
-        if kind is MetricKind.RECALL_AT_K:
-            return f"recall@{self.k}"
-        if kind is MetricKind.RPRECISION:
-            return "RPrecision"
-        if kind is MetricKind.TSE:
-            return "TSE" if self.exposure.kind.value == "reciprocal" else f"TSE[{self.exposure.label}]"
-        if kind is MetricKind.ESL3:
-            return "ESL3"
-        if kind is MetricKind.RECALL_ERROR:
-            return "RecallError"
-        return f"MetricLexirecall({float(self.epsilon):g})"
+        if self.kind is MetricKind.TSE and self.exposure.kind.value != "reciprocal":
+            return f"TSE[{self.exposure.label}]"
+        # A Fraction takes a float format spec only from Python 3.12 on.
+        epsilon = None if self.epsilon is None else float(self.epsilon)
+        return _KINDS[self.kind][0].format(gamma=self.gamma, k=self.k, epsilon=epsilon)
 
     @classmethod
     def parse(cls, text: str, corpus_size: int | None = None) -> "MetricId":
@@ -234,21 +239,14 @@ class MetricId:
         TSE accepts an exposure suffix: ``tse``, ``tse:log2``,
         ``tse:geometric:0.9``, ``tse:linear`` (linear needs ``corpus_size``).
         """
-        raw = text.strip()
-        low = raw.lower()
-        if low in ("ap", "map"):
-            return cls.ap()
-        if low in ("rr", "mrr"):
-            return cls.rr()
-        if low == "ndcg":
-            return cls.ndcg()
+        low = text.strip().lower()
+        if low in _PLAIN_NAMES:
+            return cls(_PLAIN_NAMES[low])
         if low.startswith("rbp"):
             rest = low[3:].lstrip(":")
             return cls.rbp(_parameter(float, rest, text)) if rest else cls.rbp()
         if low.startswith(("recall@", "r@")):
             return cls.recall_at(_parameter(int, low.split("@", 1)[1], text))
-        if low in ("rprecision", "r-precision", "rprec", "rp"):
-            return cls.r_precision()
         if low.startswith("tse"):
             rest = low[3:].lstrip(":")
             if not rest or rest == "reciprocal":
@@ -263,10 +261,6 @@ class MetricId:
                     raise ValidationError("tse:linear requires a corpus size")
                 return cls.tse(ExposureModel.linear(corpus_size))
             raise ValidationError(f"unknown TSE exposure {rest!r}")
-        if low == "esl3":
-            return cls.esl3()
-        if low in ("recallerror", "recall-error", "recall_error"):
-            return cls.recall_error()
         if low.startswith(("metric-lexirecall", "metric_lexirecall", "mlr")):
             rest = low.split(":", 1)
             if len(rest) == 1:

@@ -110,6 +110,12 @@ class TestTieProbability:
             tie_probability(MetricId.tse(), 12, 3)
             == tie_probability("tse", 12, 3)
         )
+        for text, name, k in [
+            ("r@5", "recall@k", 5), (" Recall@5 ", "recall@k", 5), ("tse:log2", "tse", None),
+            ("TSE", "tse", None), ("tse:linear", "tse", None), ("rp", "rprecision", None),
+            ("R-Precision", "rprecision", None),
+        ]:
+            assert tie_probability(text, 12, 3) == tie_probability(name, 12, 3, k=k)
 
     def test_cutoff_tie_rate_falls_with_more_relevant(self):
         probs = [
@@ -125,8 +131,21 @@ class TestTieProbability:
             tie_probability("recall@k", 10, 2)
         with pytest.raises(ValidationError):
             tie_probability("recall@k", 10, 2, k=11)
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="no closed-form tie probability for AP"):
             tie_probability("ap", 10, 2)
+        with pytest.raises(ValidationError, match="bad parameter 'x' in metric 'recall@x'"):
+            tie_probability("recall@x", 100, 5)
+        with pytest.raises(ValidationError, match="unknown metric 'nope'"):
+            tie_probability("nope", 100, 5)
+        for k in (2.5, "5"):
+            with pytest.raises(ValidationError, match="integer k"):
+                tie_probability("recall@k", 100, 5, k=k)
+            with pytest.raises(ValidationError, match="integer k"):
+                tie_probability(MetricId.recall_at(k), 100, 5)
+        for metric in ("tse", MetricId.tse(), "rprecision", "lexirecall"):
+            tie_probability(metric, 12, 3, k=0)  # k only matters for recall@k
+        with pytest.raises(ValidationError, match="need 1 <= k <= corpus_size"):
+            tie_probability("recall@k", 12, 3, k=0)
 
 
 @st.composite
@@ -380,6 +399,13 @@ class TestAgreement:
         pairs = [_pair((1, 9), (5, 9), 10)]
         with pytest.raises(UndefinedResultError):
             agreement_with_worst_case(pairs, MetricId.ap())
+
+    def test_metric_names_score_as_parsed(self):
+        pairs = [_pair((1, 9), (5, 9), 10), _pair((1, 5), (2, 7), 10), _pair((2, 3), (1, 8), 10)]
+        for text in ("ap", " NDCG ", "r@5", "tse:log2"):
+            assert agreement_with_worst_case(pairs, text) == agreement_with_worst_case(
+                pairs, MetricId.parse(text)
+            )
 
     def test_random_baseline_is_seeded(self):
         config = SimulationConfig(corpus_size=200, m_range=(3, 8), pair_count=400, seed=5)

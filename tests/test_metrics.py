@@ -166,8 +166,13 @@ class TestDispatch:
             MetricId.parse("nope")
         with pytest.raises(ValidationError):
             MetricId.parse("tse:linear")
-        with pytest.raises(ValidationError):
-            MetricId.recall_at(0)
+        for k in (0, 2.5, 10.0, "5"):
+            with pytest.raises(ValidationError):
+                MetricId.recall_at(k)
+        assert MetricId.recall_at(np.int64(10)).label == "recall@10"
+        for name in ("bogus", "AP", None):
+            with pytest.raises(ValidationError, match="unknown normalization"):
+                NormalizationModel(name)
         with pytest.raises(ValidationError):
             MetricId.rbp(1.5)
         for text in ("rbp:abc", "recall@x", "r@", "mlr:abc", "mlr:1/0", "tse:geometric:abc"):
