@@ -15,9 +15,11 @@ order and then in reverse, with one ``MetricId`` object per metric: the
 second pass opens with the metric the first pass ended on, so it reads the
 scores the vectors stored. Both passes must give the same reprs.
 Each interpreter also parses a seeded run file (shuffled lines, tied scores,
-non-ASCII item ids and separators, blank lines) with the line loop and with
-the bulk parser. The two must agree, and the rankings and the rank-mismatch
-count must equal the reference's.
+non-ASCII item ids and separators, blank lines) with ``io.parse_run_file``.
+Its rankings, and the rank-mismatch count its warning reports, must equal
+the reference's. So must the error, its type, message and line, for a copy
+of the file with one rank that ``int`` refuses three quarters of the way in;
+the message quotes ``int``'s own.
 Metric labels are output too (the ``metric`` column), so each interpreter
 also parses every spelling in ``tests/golden/metric_names.json`` with
 ``MetricId.parse`` and reports its label and orientation, or its error; they
@@ -27,7 +29,7 @@ pinned to a left-to-right reference by the test suite instead.
 Without arguments, every ``python3.N`` on PATH (pyenv's shims excepted) and
 every pyenv version from 3.10 on is tried, each once; one that cannot run the
 modules is reported and skipped.
-The exit status is 1 when any score, ranking or label differs. The test
+The exit status is 1 when any score, ranking, error or label differs. The test
 suite runs it under the local interpreters that lack numpy, and skips that
 test when there is none.
 """
@@ -38,8 +40,10 @@ import argparse
 import glob
 import importlib
 import json
+import logging.handlers
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -56,13 +60,15 @@ VECTORS = 3000
 SEED = 20231
 METRICS = ("AP", "NDCG", "rbp:0.8", "RR", "recall@1000", "RPrecision", "TSE", "tse:log2")
 RUN_FILE = "run.txt"
+MALFORMED_RUN_FILE = "malformed.txt"
 RUN_LINES = 5000
 
 
-def write_run_file(path: str) -> None:
+def write_run_files(parent: str) -> None:
     """A valid run file whose order the parser must undo: 40 requests in
     shuffled lines, scores from a few values so that most of them tie, ranks
-    that often disagree with them, non-ASCII ids and separators, blank lines."""
+    that often disagree with them, non-ASCII ids and separators, blank lines.
+    Then a copy with one line more, whose rank ``int`` refuses."""
     rng = random.Random(SEED)
     items = ["d", "D", "d\u00e9", "\u6587\u6863", "doc-"]
     separators = [" ", "\t", "  ", "\u3000", "\x85"]
@@ -77,7 +83,9 @@ def write_run_file(path: str) -> None:
         lines.append(line + "\n")
     lines += ["\n", "  \n"]
     rng.shuffle(lines)
-    Path(path).write_text("".join(lines), encoding="utf-8")
+    Path(parent, RUN_FILE).write_text("".join(lines), encoding="utf-8")
+    lines.insert(len(lines) * 3 // 4, "q7 Q0 d-bad 1e3 0.5 tag\n")
+    Path(parent, MALFORMED_RUN_FILE).write_text("".join(lines), encoding="utf-8")
 
 
 def name_record(metrics, text: str, corpus_size: int | None) -> str:
@@ -103,12 +111,19 @@ def score(package_parent: str) -> None:
     )
     repeats = sum(a != b for name in METRICS for a, b in zip(forward[name], backward[name]))
     io = importlib.import_module(f"{PACKAGE}.io")
-    run_file = os.path.join(package_parent, RUN_FILE)
-    runs, rank_mismatches = lines = io._parse_run_lines(run_file, CORPUS_SIZE)
+    warnings = logging.handlers.BufferingHandler(capacity=100)
+    io.logger.addHandler(warnings)
+    runs = io.parse_run_file(os.path.join(package_parent, RUN_FILE), CORPUS_SIZE)
+    found = [re.search(r": (\d+) rank fields disagree", r.getMessage()) for r in warnings.buffer]
+    try:
+        io.parse_run_file(os.path.join(package_parent, MALFORMED_RUN_FILE), CORPUS_SIZE)
+        error = None
+    except Exception as exc:
+        error = [type(exc).__name__, str(exc), getattr(exc, "line", None)]
     parsed = {
         "rankings": [[q, list(ranking.items)] for q, ranking in runs.items()],
-        "rank_mismatches": rank_mismatches,
-        "bulk_differs": io._parse_run_bulk(run_file, CORPUS_SIZE) != lines,
+        "rank_mismatches": [int(m.group(1)) if m else None for m in found],
+        "error": error,
     }
     ledger = json.loads(METRIC_NAMES.read_text(encoding="utf-8"))
     spellings = [row for row in ledger if "text" in row]
@@ -164,12 +179,13 @@ def run(interpreter: str, package_parent: str, vectors_json: str) -> dict | str:
 
 def parse_differences(reference: dict, result: dict) -> int:
     """Requests of the run file ranked unlike the reference, one more for a
-    different rank-mismatch count, and one for a bulk parse that deferred to
-    or disagreed with the line loop."""
+    different rank-mismatch warning, and one for a different error from the
+    malformed copy."""
     ref, got = reference["parsed"], result["parsed"]
     differing = sum(a != b for a, b in zip(ref["rankings"], got["rankings"]))
     differing += abs(len(ref["rankings"]) - len(got["rankings"]))
-    return differing + (ref["rank_mismatches"] != got["rank_mismatches"]) + got["bulk_differs"]
+    differing += ref["rank_mismatches"] != got["rank_mismatches"]
+    return differing + (ref["error"] != got["error"])
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -187,10 +203,15 @@ def main(argv: list[str] | None = None) -> int:
         Path(parent, PACKAGE, "__init__.py").write_text("")
         for name in PURE_MODULES:
             shutil.copy(SRC / name, os.path.join(parent, PACKAGE, name))
-        write_run_file(os.path.join(parent, RUN_FILE))
+        write_run_files(parent)
         reference = run(sys.executable, parent, vectors_json)
         if isinstance(reference, str):
             print(f"reference {sys.executable} failed: {reference}")
+            return 2
+        parsed = reference["parsed"]
+        if len(parsed["rank_mismatches"]) != 1 or parsed["error"] is None:
+            print(f"reference {sys.executable} parsed with warnings {parsed['rank_mismatches']}"
+                  f" and error {parsed['error']}; expected one rank warning and an error")
             return 2
         differing = reference["repeat_differing"] + parse_differences(reference, reference)
         print(

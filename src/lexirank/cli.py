@@ -12,6 +12,7 @@ repeated invocations, and output order never depends on the order of
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import math
 import sys
@@ -20,7 +21,7 @@ from typing import Sequence
 
 from . import analytics, io as tables, stats
 from ._numpy import np
-from .core import Imputation, Preference, RankedList, project_runs
+from .core import Imputation, Preference, project_runs
 from .errors import LexirankError, UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, evaluate
 from .prefs import make_method, parse_method
@@ -50,12 +51,7 @@ def _load_runs(
             raise ValidationError(f"run file {path} is empty")
         if depth is not None:
             parsed = {
-                request_id: RankedList(
-                    request_id=ranked.request_id,
-                    items=ranked.items[:depth],
-                    corpus_size=ranked.corpus_size,
-                    system_tag=ranked.system_tag,
-                )
+                request_id: dataclasses.replace(ranked, items=ranked.items[:depth])
                 for request_id, ranked in parsed.items()
             }
         tag = next(iter(parsed.values())).system_tag or Path(path).stem

@@ -15,11 +15,11 @@ slices; scores are converted with ``float``, and rank fields are compared as
 text with the positions and converted with ``int`` only in a request where
 they differ. One stable sort groups the lines by request, and one per
 request orders it by score, with item ids breaking ties only where scores
-are equal. A line without six fields, a conversion that fails, a non-finite
-score, a second tag, undecodable bytes or a ranking ``RankedList`` refuses
-sends the whole file to the line loop, whose only job is to raise the error
-with its file and line. Both paths give the same rankings, warnings and
-errors.
+are equal. ``RankedList`` refuses a repeated item and a ranking longer than
+the corpus. Every way this can fail ends in one handler, which reads the
+file again with a check-only line loop that builds nothing and raises the
+error of the first bad line in file order. A file with no bad line can fail
+only for a ranking longer than the corpus, the one error without a line.
 """
 
 from __future__ import annotations
@@ -72,17 +72,64 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
     reported as a warning because the scores are authoritative. A malformed
     line, bytes that are not UTF-8, a non-finite score, a second system tag
     or a repeated item of a request is a ``ParseError`` with its file and
-    line.
+    line; the first in file order is reported. A ranking longer than
+    ``corpus_size`` is a ``ValidationError``.
 
-    A file the bulk parser (see the module docstring) does not accept is
-    reparsed by the line loop, which raises the first error in line order.
+    One bulk parse builds the rankings (see the module docstring); when it
+    fails, ``_raise_at_bad_line`` only names the line.
     """
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
-    parsed = _parse_run_bulk(path, corpus_size)
-    if parsed is None:
-        parsed = _parse_run_lines(path, corpus_size)
-    runs, rank_mismatches = parsed
+    requests: list[str] = []
+    items: list[str] = []
+    rank_texts: list[str] = []
+    scores: list[float] = []
+    tag = None
+    runs = {}
+    rank_mismatches = 0
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            while text := fh.read(_BLOCK_CHARS):
+                tokens = _block_fields(text + fh.readline())
+                if not tokens:
+                    continue
+                tags = tokens[5::7]
+                if tag is None:
+                    tag = tags[0]
+                if tags.count(tag) != len(tags):
+                    raise ValueError("a second system tag")
+                requests += tokens[0::7]
+                items += tokens[2::7]
+                rank_texts += tokens[3::7]
+                scores += map(float, tokens[4::7])
+        if not all(map(math.isfinite, scores)):
+            raise ValueError("a non-finite score")
+        # Row indices grouped by request, requests in order of first appearance.
+        lines_per_request = Counter(requests)
+        code = dict(zip(lines_per_request, range(len(lines_per_request))))
+        order = sorted(range(len(requests)), key=list(map(code.__getitem__, requests)).__getitem__)
+        # The rank fields of a request that agree with its order, as usually written.
+        numerals = list(map(str, range(1, max(lines_per_request.values(), default=0) + 1)))
+        hi = 0
+        for request_id, count in lines_per_request.items():
+            lo, hi = hi, hi + count
+            rows = order[lo:hi]
+            rows.sort(key=scores.__getitem__, reverse=True)
+            ranked_scores = list(map(scores.__getitem__, rows))
+            if any(map(operator.eq, ranked_scores, ranked_scores[1:])):
+                # Equal scores, left in file order by the stable sort: order
+                # by item id, then again by score.
+                rows.sort(key=items.__getitem__)
+                rows.sort(key=scores.__getitem__, reverse=True)
+            ranked_texts = list(map(rank_texts.__getitem__, rows))
+            if ranked_texts != numerals[:count]:  # int() also rejects a bad rank
+                positions = range(1, count + 1)
+                rank_mismatches += sum(map(operator.ne, map(int, ranked_texts), positions))
+            ranked = tuple(map(items.__getitem__, rows))
+            runs[request_id] = RankedList(request_id, ranked, corpus_size, tag)
+    except (ValueError, ValidationError):  # UnicodeDecodeError is a ValueError
+        _raise_at_bad_line(path)
+        raise  # no bad line: a ranking longer than corpus_size
     if rank_mismatches:
         logger.warning(
             "%s: %d rank fields disagree with score order; scores are authoritative",
@@ -92,10 +139,10 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
     return runs
 
 
-def _block_fields(text: str) -> list[str] | None:
+def _block_fields(text: str) -> list[str]:
     """Seven tokens per line that is not blank: its six fields, then ``_END``.
 
-    ``None`` if a line that is not blank has other than six fields.
+    ``ValueError`` if a line that is not blank has other than six fields.
     """
     if _END not in text:
         tokens = text.replace("\n", f" {_END} ").split()
@@ -111,81 +158,19 @@ def _block_fields(text: str) -> list[str] | None:
             tokens += fields
             tokens.append(_END)
         elif fields:
-            return None
+            raise ValueError("a line without six fields")
     return tokens
 
 
-def _parse_run_bulk(
-    path: str | Path, corpus_size: int
-) -> tuple[dict[str, RankedList], int] | None:
-    """Rankings and rank-mismatch count, or ``None`` to defer to the line loop."""
-    requests: list[str] = []
-    items: list[str] = []
-    rank_texts: list[str] = []
-    scores: list[float] = []
-    tag = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            while text := fh.read(_BLOCK_CHARS):
-                tokens = _block_fields(text + fh.readline())
-                if tokens is None:
-                    return None
-                if not tokens:
-                    continue
-                tags = tokens[5::7]
-                if tag is None:
-                    tag = tags[0]
-                if tags.count(tag) != len(tags):
-                    return None
-                requests += tokens[0::7]
-                items += tokens[2::7]
-                rank_texts += tokens[3::7]
-                scores += map(float, tokens[4::7])
-    except ValueError:  # undecodable bytes (UnicodeDecodeError), a bad score
-        return None
-    if not all(map(math.isfinite, scores)):
-        return None
-    # Row indices grouped by request, requests in order of first appearance.
-    lines_per_request = Counter(requests)
-    code = dict(zip(lines_per_request, range(len(lines_per_request))))
-    order = sorted(range(len(requests)), key=list(map(code.__getitem__, requests)).__getitem__)
-    # The rank fields of a request that agree with its order, as usually written.
-    numerals = list(map(str, range(1, max(lines_per_request.values(), default=0) + 1)))
-    runs = {}
-    rank_mismatches = 0
-    hi = 0
-    try:
-        for request_id, count in lines_per_request.items():
-            lo, hi = hi, hi + count
-            rows = order[lo:hi]
-            rows.sort(key=scores.__getitem__, reverse=True)
-            ranked_scores = list(map(scores.__getitem__, rows))
-            if any(map(operator.eq, ranked_scores, ranked_scores[1:])):
-                # Equal scores, left in file order by the stable sort: order
-                # by item id, then again by score, as the line loop's key does.
-                rows.sort(key=items.__getitem__)
-                rows.sort(key=scores.__getitem__, reverse=True)
-            ranked_texts = list(map(rank_texts.__getitem__, rows))
-            if ranked_texts != numerals[:count]:  # int() also rejects a bad rank
-                positions = range(1, count + 1)
-                rank_mismatches += sum(map(operator.ne, map(int, ranked_texts), positions))
-            ranked = tuple(map(items.__getitem__, rows))
-            runs[request_id] = RankedList(request_id, ranked, corpus_size, tag)
-    except (ValueError, ValidationError):  # a bad rank, a repeated item, too many items
-        return None
-    return runs, rank_mismatches
+def _raise_at_bad_line(path: str | Path) -> None:
+    """Raise the ``ParseError`` of a run file's first bad line, if it has one.
 
-
-def _parse_run_lines(
-    path: str | Path, corpus_size: int
-) -> tuple[dict[str, RankedList], int]:
-    """Rankings and rank-mismatch count, one line at a time.
-
-    The reference for the bulk path, and the path that reports errors: it
-    raises at the first bad line in file order.
+    The checks run in this order on each line, and nothing is built: six
+    fields, an ``int`` rank and a ``float`` score, a finite score, the file's
+    one system tag, an item not yet seen for its request. Its errors replace
+    the bulk parse's, so they do not carry that one as their context.
     """
     spath = str(path)
-    records: dict[str, list[tuple[float, str, int]]] = {}
     seen: set[tuple[str, str]] = set()
     system_tag: str | None = None
     for number, line in _read_lines(path):
@@ -195,48 +180,32 @@ def _parse_run_lines(
                 f"expected 6 whitespace-separated fields, got {len(fields)}",
                 path=spath,
                 line=number,
-            )
+            ) from None
         request_id, _q0, item_id, rank_text, score_text, tag = fields
         try:
-            rank = int(rank_text)
+            int(rank_text)
             score = float(score_text)
         except ValueError as exc:
             raise ParseError(f"bad rank/score: {exc}", path=spath, line=number) from exc
         if not math.isfinite(score):
-            raise ParseError(f"non-finite score {score_text!r}", path=spath, line=number)
-        if tag != system_tag:
-            if system_tag is not None:
-                raise ParseError(
-                    f"system tag {tag!r} differs from the file's tag {system_tag!r}",
-                    path=spath,
-                    line=number,
-                )
+            message = f"non-finite score {score_text!r}"
+            raise ParseError(message, path=spath, line=number) from None
+        if system_tag is None:
             system_tag = tag
+        elif tag != system_tag:
+            raise ParseError(
+                f"system tag {tag!r} differs from the file's tag {system_tag!r}",
+                path=spath,
+                line=number,
+            ) from None
         key = (request_id, item_id)
         if key in seen:
             raise ParseError(
                 f"duplicate item {item_id!r} for request {request_id!r}",
                 path=spath,
                 line=number,
-            )
+            ) from None
         seen.add(key)
-        records.setdefault(request_id, []).append((-score, item_id, rank))
-
-    out: dict[str, RankedList] = {}
-    rank_mismatches = 0
-    for request_id, recs in records.items():
-        # Score descending, then item id; ids are unique, so the rank never decides.
-        recs.sort()
-        for position, (_, _, rank) in enumerate(recs, start=1):
-            if rank != position:
-                rank_mismatches += 1
-        out[request_id] = RankedList(
-            request_id=request_id,
-            items=tuple(item_id for _, item_id, _ in recs),
-            corpus_size=corpus_size,
-            system_tag=system_tag,
-        )
-    return out, rank_mismatches
 
 
 def parse_qrels(

@@ -238,6 +238,8 @@ class MetricId:
 
         TSE accepts an exposure suffix: ``tse``, ``tse:log2``,
         ``tse:geometric:0.9``, ``tse:linear`` (linear needs ``corpus_size``).
+        ``mlr``, ``metric-lexirecall`` and ``geometric`` end the name or are
+        followed by ``:``, so ``mlrfoo`` fails; ``rbp0.9`` still reads a gamma.
         """
         low = text.strip().lower()
         if low in _PLAIN_NAMES:
@@ -253,19 +255,20 @@ class MetricId:
                 return cls.tse()
             if rest == "log2":
                 return cls.tse(ExposureModel.log2())
-            if rest.startswith("geometric"):
-                gamma = rest.split(":", 1)[1] if ":" in rest else str(_DEFAULT_GAMMA)
-                return cls.tse(ExposureModel.geometric(_parameter(float, gamma, text)))
+            name, colon, gamma = rest.partition(":")
+            if name == "geometric":
+                gamma = _parameter(float, gamma, text) if colon else _DEFAULT_GAMMA
+                return cls.tse(ExposureModel.geometric(gamma))
             if rest == "linear":
                 if corpus_size is None:
                     raise ValidationError("tse:linear requires a corpus size")
                 return cls.tse(ExposureModel.linear(corpus_size))
             raise ValidationError(f"unknown TSE exposure {rest!r}")
-        if low.startswith(("metric-lexirecall", "metric_lexirecall", "mlr")):
-            rest = low.split(":", 1)
-            if len(rest) == 1:
-                return cls.metric_lexirecall()
-            return cls.metric_lexirecall(_parameter(Fraction, rest[1], text))
+        name, colon, epsilon = low.partition(":")
+        if name in ("metric-lexirecall", "metric_lexirecall", "mlr"):
+            if colon:
+                return cls.metric_lexirecall(_parameter(Fraction, epsilon, text))
+            return cls.metric_lexirecall()
         raise ValidationError(f"unknown metric {text!r}")
 
 

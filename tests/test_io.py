@@ -3,6 +3,7 @@
 import io
 import json
 import logging
+import math
 from pathlib import Path
 from unittest import mock
 
@@ -13,12 +14,14 @@ from hypothesis import strategies as st
 import lexirank.io
 from lexirank import (
     ParseError,
+    RankedList,
     ValidationError,
     parse_qrels,
     parse_run_file,
     project_and_impute,
     write_table,
 )
+from lexirank.io import _read_lines
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -48,6 +51,8 @@ class TestParseRunFile:
         with pytest.raises(ParseError) as err:
             parse_run_file(path, corpus_size=10)
         assert err.value.line == 2
+        # A traceback shows no error of the failed bulk parse.
+        assert err.value.__context__ is None or err.value.__suppress_context__
 
     def test_duplicate_items_rejected(self, tmp_path):
         path = tmp_path / "run.txt"
@@ -168,29 +173,35 @@ def _layout(draw, rows: list[list[str]], ascii_only: bool = True) -> bytes:
     return "".join(out).encode("utf-8")
 
 
-def _break(draw, rows: list[list[str]]) -> tuple[list[list[str]], int]:
-    """One malformation at a drawn line, and the corpus size to parse with."""
+_MALFORMATIONS = ["fields", "rank", "score", "tag", "duplicate", "corpus"]
+
+
+def _break(draw, rows: list[list[str]], count: int = 1) -> tuple[list[list[str]], int]:
+    """``count`` malformations of different kinds at drawn lines, and the
+    corpus size to parse with."""
     rows = [list(fields) for fields in rows]
-    at = draw(st.integers(0, len(rows) - 1))
-    kind = draw(st.sampled_from(["fields", "rank", "score", "tag", "duplicate", "corpus"]))
+    kinds = st.lists(st.sampled_from(_MALFORMATIONS), min_size=count, max_size=count, unique=True)
     corpus_size = 100
-    if kind == "fields":
-        # A line break one field early or late: 5 and 7 fields on adjacent
-        # lines keep the token total a multiple of 6 and the columns aligned.
-        joined = rows[at] + [rows[at][0], "Q0", "d99", "1", "0.5", "tg"]
-        cut = draw(st.sampled_from([5, 7]))
-        rows[at : at + 1] = [joined[:cut], joined[cut:]]
-    elif kind == "rank":
-        rows[at][3] = draw(st.sampled_from(["x1", "1.0", "99999999999999999999"]))
-    elif kind == "score":
-        rows[at][4] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "high"]))
-    elif kind == "tag":
-        rows[at][5] = "other"
-    elif kind == "duplicate":
-        rows.insert(draw(st.integers(at + 1, len(rows))), list(rows[at]))
-    else:  # one item more than the corpus holds in the deepest request
-        deepest = max(sum(fields[0] == request for fields in rows) for request in _REQUESTS)
-        corpus_size = max(1, deepest - 1)
+    # A field split last, so that every other kind finds six fields at its line.
+    for kind in sorted(draw(kinds), key="fields".__eq__):
+        at = draw(st.integers(0, len(rows) - 1))
+        if kind == "fields":
+            # A line break one field early or late: 5 and 7 fields on adjacent
+            # lines keep the token total a multiple of 6 and the columns aligned.
+            joined = rows[at] + [rows[at][0], "Q0", "d99", "1", "0.5", "tg"]
+            cut = draw(st.sampled_from([5, 7]))
+            rows[at : at + 1] = [joined[:cut], joined[cut:]]
+        elif kind == "rank":
+            rows[at][3] = draw(st.sampled_from(["x1", "1.0", "99999999999999999999"]))
+        elif kind == "score":
+            rows[at][4] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "high"]))
+        elif kind == "tag":
+            rows[at][5] = "other"
+        elif kind == "duplicate":
+            rows.insert(draw(st.integers(at + 1, len(rows))), list(rows[at]))
+        else:  # one item more than the corpus holds in the deepest request
+            deepest = max(sum(fields[0] == request for fields in rows) for request in _REQUESTS)
+            corpus_size = max(1, deepest - 1)
     return rows, corpus_size
 
 
@@ -218,14 +229,83 @@ def _outcome(parse, path: Path, corpus_size: int):
     return rankings, handler.messages
 
 
+def _parse_run_lines(
+    path: str | Path, corpus_size: int
+) -> tuple[dict[str, RankedList], int]:
+    """Rankings and rank-mismatch count, one line at a time.
+
+    The reference for ``parse_run_file``: it builds every ranking from its
+    own records and raises at the first bad line in file order.
+    """
+    spath = str(path)
+    records: dict[str, list[tuple[float, str, int]]] = {}
+    seen: set[tuple[str, str]] = set()
+    system_tag: str | None = None
+    for number, line in _read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise ParseError(
+                f"expected 6 whitespace-separated fields, got {len(fields)}",
+                path=spath,
+                line=number,
+            )
+        request_id, _q0, item_id, rank_text, score_text, tag = fields
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError as exc:
+            raise ParseError(f"bad rank/score: {exc}", path=spath, line=number) from exc
+        if not math.isfinite(score):
+            raise ParseError(f"non-finite score {score_text!r}", path=spath, line=number)
+        if tag != system_tag:
+            if system_tag is not None:
+                raise ParseError(
+                    f"system tag {tag!r} differs from the file's tag {system_tag!r}",
+                    path=spath,
+                    line=number,
+                )
+            system_tag = tag
+        key = (request_id, item_id)
+        if key in seen:
+            raise ParseError(
+                f"duplicate item {item_id!r} for request {request_id!r}",
+                path=spath,
+                line=number,
+            )
+        seen.add(key)
+        records.setdefault(request_id, []).append((-score, item_id, rank))
+
+    out: dict[str, RankedList] = {}
+    rank_mismatches = 0
+    for request_id, recs in records.items():
+        # Score descending, then item id; ids are unique, so the rank never decides.
+        recs.sort()
+        for position, (_, _, rank) in enumerate(recs, start=1):
+            if rank != position:
+                rank_mismatches += 1
+        out[request_id] = RankedList(
+            request_id=request_id,
+            items=tuple(item_id for _, item_id, _ in recs),
+            corpus_size=corpus_size,
+            system_tag=system_tag,
+        )
+    return out, rank_mismatches
+
+
 def _line_loop(path: Path, corpus_size: int):
-    """``parse_run_file`` with the bulk path taken out: the reference."""
-    with mock.patch.object(lexirank.io, "_parse_run_bulk", return_value=None):
-        return parse_run_file(path, corpus_size)
+    """The line loop, warning as ``parse_run_file`` does: the reference."""
+    runs, rank_mismatches = _parse_run_lines(path, corpus_size)
+    if rank_mismatches:
+        logging.getLogger("lexirank.io").warning(
+            "%s: %d rank fields disagree with score order; scores are authoritative",
+            str(path),
+            rank_mismatches,
+        )
+    return runs
 
 
 class TestBulkParserMatchesLineLoop:
-    """``parse_run_file`` against the line loop it falls back to."""
+    """``parse_run_file`` against the line loop: rankings, warnings and errors."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), ascii_only=st.booleans(), block=st.sampled_from(_BLOCK_SIZES))
@@ -233,15 +313,28 @@ class TestBulkParserMatchesLineLoop:
         rows = data.draw(_run_lines(ascii_only))
         path = tmp_path_factory.mktemp("bulk") / "run.txt"
         path.write_bytes(data.draw(_layout(rows, ascii_only)))
-        with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
+        # Non-ASCII text and blank lines never send a valid file to the check loop.
+        with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block), mock.patch.object(
+            lexirank.io, "_raise_at_bad_line", side_effect=AssertionError
+        ):
             assert _outcome(parse_run_file, path, 100) == _outcome(_line_loop, path, 100)
-            # Non-ASCII text and blank lines stay on the bulk path.
-            assert lexirank.io._parse_run_bulk(path, 100) is not None
 
     @settings(max_examples=200, deadline=None)
     @given(data=st.data(), block=st.sampled_from(_BLOCK_SIZES))
     def test_malformed_files(self, tmp_path_factory, data, block):
         rows, corpus_size = _break(data.draw, data.draw(_run_lines(ascii_only=True)))
+        path = tmp_path_factory.mktemp("bulk") / "run.txt"
+        path.write_bytes(data.draw(_layout(rows)))
+        with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
+            got = _outcome(parse_run_file, path, corpus_size)
+        assert got == _outcome(_line_loop, path, corpus_size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), block=st.sampled_from(_BLOCK_SIZES[:2]))
+    def test_two_malformations_report_the_earliest(self, tmp_path_factory, data, block):
+        # The bulk path may fail at a later line than the first bad one: a
+        # repeated item surfaces only once every block is read.
+        rows, corpus_size = _break(data.draw, data.draw(_run_lines(ascii_only=True)), count=2)
         path = tmp_path_factory.mktemp("bulk") / "run.txt"
         path.write_bytes(data.draw(_layout(rows)))
         with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):

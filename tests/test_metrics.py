@@ -178,6 +178,11 @@ class TestDispatch:
         for text in ("rbp:abc", "recall@x", "r@", "mlr:abc", "mlr:1/0", "tse:geometric:abc"):
             with pytest.raises(ValidationError, match="in metric"):
                 MetricId.parse(text)
+        # Junk after a family or exposure name is not read as the default.
+        for text in ("mlrfoo", "metric-lexirecallx", "mlrx:0.3", "tse:geometricfoo"):
+            with pytest.raises(ValidationError, match="unknown"):
+                MetricId.parse(text)
+        assert MetricId.parse("rbp0.9") == MetricId.parse("rbp::0.9") == MetricId.rbp(0.9)
 
 
 class TestTotalSearchEfficiency:
