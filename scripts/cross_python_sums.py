@@ -19,7 +19,10 @@ non-ASCII item ids and separators, blank lines) with ``io.parse_run_file``.
 Its rankings, and the rank-mismatch count its warning reports, must equal
 the reference's. So must the error, its type, message and line, for a copy
 of the file with one rank that ``int`` refuses three quarters of the way in;
-the message quotes ``int``'s own.
+the message quotes ``int``'s own. It then parses the file and a second
+seeded file, which shares about a fifth of its item ids, with one ``ids``
+dict: the rankings must equal the reference's and each file's parse alone,
+and every equal request or item id must be one string.
 Metric labels are output too (the ``metric`` column), so each interpreter
 also parses every spelling in ``tests/golden/metric_names.json`` with
 ``MetricId.parse`` and reports its label and orientation, or its error; they
@@ -61,15 +64,16 @@ SEED = 20231
 METRICS = ("AP", "NDCG", "rbp:0.8", "RR", "recall@1000", "RPrecision", "TSE", "tse:log2")
 RUN_FILE = "run.txt"
 MALFORMED_RUN_FILE = "malformed.txt"
+SECOND_RUN_FILE = "run2.txt"
 RUN_LINES = 5000
 
 
-def write_run_files(parent: str) -> None:
-    """A valid run file whose order the parser must undo: 40 requests in
-    shuffled lines, scores from a few values so that most of them tie, ranks
-    that often disagree with them, non-ASCII ids and separators, blank lines.
-    Then a copy with one line more, whose rank ``int`` refuses."""
-    rng = random.Random(SEED)
+def seeded_run_lines(seed: int) -> list[str]:
+    """The lines of a valid run file whose order the parser must undo: 40
+    requests in shuffled lines, scores from a few values so that most of them
+    tie, ranks that often disagree with them, non-ASCII ids and separators,
+    blank lines."""
+    rng = random.Random(seed)
     items = ["d", "D", "d\u00e9", "\u6587\u6863", "doc-"]
     separators = [" ", "\t", "  ", "\u3000", "\x85"]
     lines = []
@@ -83,9 +87,44 @@ def write_run_files(parent: str) -> None:
         lines.append(line + "\n")
     lines += ["\n", "  \n"]
     rng.shuffle(lines)
+    return lines
+
+
+def write_run_files(parent: str) -> None:
+    """The seeded run file; a copy with one line more, whose rank ``int``
+    refuses; and a second file from another seed, which names the same
+    requests and about a fifth of the first file's item ids."""
+    lines = seeded_run_lines(SEED)
     Path(parent, RUN_FILE).write_text("".join(lines), encoding="utf-8")
     lines.insert(len(lines) * 3 // 4, "q7 Q0 d-bad 1e3 0.5 tag\n")
     Path(parent, MALFORMED_RUN_FILE).write_text("".join(lines), encoding="utf-8")
+    Path(parent, SECOND_RUN_FILE).write_text("".join(seeded_run_lines(SEED + 1)), encoding="utf-8")
+
+
+def rankings(runs) -> list:
+    return [[q, list(ranking.items)] for q, ranking in runs.items()]
+
+
+def pooled_parse(io, package_parent: str) -> dict:
+    """Both valid files parsed with one ``ids`` dict: their rankings, how many
+    differ from parsing each file alone, and how many ids are held by a
+    string other than the first one seen with their text."""
+    paths = [os.path.join(package_parent, name) for name in (RUN_FILE, SECOND_RUN_FILE)]
+    ids: dict[str, str] = {}
+    pooled = [io.parse_run_file(path, CORPUS_SIZE, ids) for path in paths]
+    alone = [io.parse_run_file(path, CORPUS_SIZE) for path in paths]
+    kept: dict[str, str] = {}
+    unshared = sum(
+        kept.setdefault(text, text) is not text
+        for runs in pooled
+        for q, ranking in runs.items()
+        for text in (q, ranking.request_id, *ranking.items)
+    )
+    return {
+        "rankings": [rankings(runs) for runs in pooled],
+        "differ_from_alone": sum(rankings(a) != rankings(p) for a, p in zip(alone, pooled)),
+        "unshared": unshared,
+    }
 
 
 def name_record(metrics, text: str, corpus_size: int | None) -> str:
@@ -104,9 +143,9 @@ def score(package_parent: str) -> None:
     metrics = importlib.import_module(f"{PACKAGE}.metrics")
 
     vectors = [core.RelevantPositions.from_positions(v, CORPUS_SIZE) for v in json.load(sys.stdin)]
-    ids = {name: metrics.MetricId.parse(name) for name in METRICS}
+    metric_ids = {name: metrics.MetricId.parse(name) for name in METRICS}
     forward, backward = (
-        {name: [repr(metrics.evaluate(ids[name], rp)) for rp in vectors] for name in order}
+        {name: [repr(metrics.evaluate(metric_ids[name], rp)) for rp in vectors] for name in order}
         for order in (METRICS, METRICS[::-1])
     )
     repeats = sum(a != b for name in METRICS for a, b in zip(forward[name], backward[name]))
@@ -121,9 +160,10 @@ def score(package_parent: str) -> None:
     except Exception as exc:
         error = [type(exc).__name__, str(exc), getattr(exc, "line", None)]
     parsed = {
-        "rankings": [[q, list(ranking.items)] for q, ranking in runs.items()],
+        "rankings": rankings(runs),
         "rank_mismatches": [int(m.group(1)) if m else None for m in found],
         "error": error,
+        "pooled": pooled_parse(io, package_parent),
     }
     ledger = json.loads(METRIC_NAMES.read_text(encoding="utf-8"))
     spellings = [row for row in ledger if "text" in row]
@@ -177,15 +217,24 @@ def run(interpreter: str, package_parent: str, vectors_json: str) -> dict | str:
     return json.loads(proc.stdout)
 
 
+def ranking_differences(ref: list, got: list) -> int:
+    return sum(a != b for a, b in zip(ref, got)) + abs(len(ref) - len(got))
+
+
 def parse_differences(reference: dict, result: dict) -> int:
     """Requests of the run file ranked unlike the reference, one more for a
     different rank-mismatch warning, and one for a different error from the
-    malformed copy."""
+    malformed copy. Then, for the two files parsed with one ``ids`` dict,
+    requests ranked unlike the reference, files ranked unlike their parse
+    alone, and ids not shared."""
     ref, got = reference["parsed"], result["parsed"]
-    differing = sum(a != b for a, b in zip(ref["rankings"], got["rankings"]))
-    differing += abs(len(ref["rankings"]) - len(got["rankings"]))
+    differing = ranking_differences(ref["rankings"], got["rankings"])
     differing += ref["rank_mismatches"] != got["rank_mismatches"]
-    return differing + (ref["error"] != got["error"])
+    differing += ref["error"] != got["error"]
+    ref_pool, got_pool = ref["pooled"], got["pooled"]
+    for ref_file, got_file in zip(ref_pool["rankings"], got_pool["rankings"]):
+        differing += ranking_differences(ref_file, got_file)
+    return differing + got_pool["differ_from_alone"] + got_pool["unshared"]
 
 
 def main(argv: list[str] | None = None) -> int:

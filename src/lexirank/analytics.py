@@ -516,6 +516,7 @@ def degradation_study(
                                 agree += 1
                 stats[name]["ties"] += ties / comparisons
                 stats[name]["agree"] += agree / strict_full if strict_full else 1.0
+            del degraded  # one degraded pass alive at a time
         for name, _fn in resolved:
             rows.append(
                 {

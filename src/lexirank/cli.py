@@ -40,13 +40,15 @@ def _load_runs(
     """Parse run files keyed by system tag; tag collisions fall back to stems.
 
     ``depth`` truncates every ranking to its top entries before projection,
-    which is how retrieval-depth studies are driven on real collections.
+    which is how retrieval-depth studies are driven on real collections. The
+    files share one string per request and item id.
     """
     if depth is not None and depth < 1:
         raise ValidationError(f"depth must be positive, got {depth}")
     runs: dict[str, dict[str, object]] = {}
+    ids: dict[str, str] = {}
     for path in paths:
-        parsed = tables.parse_run_file(path, corpus_size)
+        parsed = tables.parse_run_file(path, corpus_size, ids)
         if not parsed:
             raise ValidationError(f"run file {path} is empty")
         if depth is not None:

@@ -14,6 +14,7 @@ All types are immutable after construction and all functions are pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -137,12 +138,34 @@ class RelevantPositions:
         The ``m - len(retrieved)`` unretrieved relevant items take the last
         positions of the corpus. With nothing retrieved this scores a run
         that is missing a request entirely. It is the one place the
-        pessimistic tail is built.
+        pessimistic tail is built: a slice of the bottom block, the last
+        ``m`` positions, which is kept for the last ``(m, corpus_size)``
+        asked for, so the vectors of one request, built one after another,
+        share its ints.
         """
         if not 1 <= m <= corpus_size:
             raise ValidationError(f"need 1 <= m <= corpus_size, got m={m}, D={corpus_size}")
-        tail = range(corpus_size - m + len(retrieved) + 1, corpus_size + 1)
+        tail = _bottom_block(m, corpus_size)[len(retrieved) :]
         return cls((*retrieved, *tail), corpus_size)
+
+
+@functools.lru_cache(maxsize=1)
+def _bottom_block(m: int, corpus_size: int) -> tuple[int, ...]:
+    """The last ``m`` positions of a corpus of ``corpus_size``, in order."""
+    return tuple(range(corpus_size - m + 1, corpus_size + 1))
+
+
+def parameter_label(value) -> str:
+    """A metric parameter as labels print it: ``:g`` where that reads back to
+    ``value``, else the shortest float text that does, else ``a/b``.
+
+    ``value`` is a float or a ``Fraction``, and reads back as its own type, so
+    distinct parameters never share a label.
+    """
+    for text in (format(float(value), "g"), repr(float(value))):
+        if type(value)(text) == value:
+            return text
+    return f"{value.numerator}/{value.denominator}"
 
 
 class ExposureKind(str, Enum):
@@ -211,7 +234,7 @@ class ExposureModel:
     @property
     def label(self) -> str:
         if self.kind is ExposureKind.GEOMETRIC:
-            return f"geometric({self.gamma:g})"
+            return f"geometric({parameter_label(self.gamma)})"
         if self.kind is ExposureKind.LINEAR:
             return f"linear({self.corpus_size})"
         return self.kind.value

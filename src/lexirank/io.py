@@ -11,15 +11,19 @@ Run files are parsed in bulk, in plain Python and without numpy. Each block
 of lines is split once, with every line end marked by a token of its own, so
 that one count shows whether every line has six fields; a block that fails
 it is split line by line, dropping blank lines. The columns are stride
-slices; scores are converted with ``float``, and rank fields are compared as
-text with the positions and converted with ``int`` only in a request where
-they differ. One stable sort groups the lines by request, and one per
-request orders it by score, with item ids breaking ties only where scores
-are equal. ``RankedList`` refuses a repeated item and a ranking longer than
-the corpus. Every way this can fail ends in one handler, which reads the
-file again with a check-only line loop that builds nothing and raises the
-error of the first bad line in file order. A file with no bad line can fail
-only for a ranking longer than the corpus, the one error without a line.
+slices. Request and item ids go through a dict of the ids already read,
+which may span the files of a collection, so each id is held as one string
+however many lines name it: memory grows with the distinct ids, not with
+runs times requests times depth. Scores are converted with ``float``, and
+rank fields are compared as text with the positions and converted with
+``int`` only in a request where they differ. One stable sort groups the
+lines by request, and one per request orders it by score, with item ids
+breaking ties only where scores are equal. ``RankedList`` refuses a repeated
+item and a ranking longer than the corpus. Every way this can fail ends in
+one handler, which reads the file again with a check-only line loop that
+builds nothing and raises the error of the first bad line in file order. A
+file with no bad line can fail only for a ranking longer than the corpus,
+the one error without a line.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import re
 import stat
 from collections import Counter
 from pathlib import Path
-from typing import IO, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Mapping, Sequence
 
 from .core import JudgmentSet, RankedList
 from .errors import ParseError, ValidationError
@@ -64,7 +68,9 @@ def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
                 yield number, line
 
 
-def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
+def parse_run_file(
+    path: str | Path, corpus_size: int, ids: dict[str, str] | None = None
+) -> dict[str, RankedList]:
     """Parse a run file into per-request rankings, in order of first appearance.
 
     ``corpus_size`` is attached to every ranking; it is configuration, not
@@ -75,11 +81,17 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
     line; the first in file order is reported. A ranking longer than
     ``corpus_size`` is a ``ValidationError``.
 
+    ``ids`` maps each request and item id to the one string kept for it, and
+    every id read goes through it; pass one dict to the files of a collection
+    so that their rankings share one string per id. ``None`` shares them
+    within this file only.
+
     One bulk parse builds the rankings (see the module docstring); when it
     fails, ``_raise_at_bad_line`` only names the line.
     """
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
+    keep = (ids if ids is not None else {}).setdefault
     requests: list[str] = []
     items: list[str] = []
     rank_texts: list[str] = []
@@ -98,8 +110,8 @@ def parse_run_file(path: str | Path, corpus_size: int) -> dict[str, RankedList]:
                     tag = tags[0]
                 if tags.count(tag) != len(tags):
                     raise ValueError("a second system tag")
-                requests += tokens[0::7]
-                items += tokens[2::7]
+                requests += map(keep, tokens[0::7], tokens[0::7])
+                items += map(keep, tokens[2::7], tokens[2::7])
                 rank_texts += tokens[3::7]
                 scores += map(float, tokens[4::7])
         if not all(map(math.isfinite, scores)):
@@ -263,12 +275,21 @@ def parse_qrels(
     }
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
-    if isinstance(value, float):
-        return format(value, ".6g")
-    return str(value)
+def _cell_formatter(kind: type) -> Callable[[object], str]:
+    """How a TSV cell of type ``kind`` prints: a ``bool`` as ``true`` or
+    ``false``, any ``float`` (``numpy.float64`` too) at 6 significant digits,
+    anything else as ``str``."""
+    if kind is bool:
+        return {True: "true", False: "false"}.__getitem__
+    if issubclass(kind, float):
+        return "{:.6g}".format
+    return str
+
+
+def _column_texts(values: list[object]) -> list[str]:
+    """The TSV text of a column's cells, one formatter looked up per type."""
+    formatters = {kind: _cell_formatter(kind) for kind in set(map(type, values))}
+    return [formatters[type(value)](value) for value in values]
 
 
 def _write_rows(
@@ -280,9 +301,10 @@ def _write_rows(
         if missing:
             raise ValidationError(f"row is missing columns {missing}")
     if fmt == "tsv":
+        texts = [_column_texts([row[c] for row in materialized]) for c in columns]
+        lines = map("\t".join, zip(*texts)) if columns else [""] * len(materialized)
         fh.write("\t".join(columns) + "\n")
-        for row in materialized:
-            fh.write("\t".join(_format_cell(row[c]) for c in columns) + "\n")
+        fh.writelines(map("{}\n".format, lines))
     else:
         payload = [{c: row[c] for c in columns} for row in materialized]
         json.dump(payload, fh, indent=2, sort_keys=False)

@@ -29,7 +29,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import ExposureModel, RelevantPositions
+from .core import ExposureModel, RelevantPositions, parameter_label
 from .errors import UnevaluableRequestError, ValidationError
 
 
@@ -106,22 +106,22 @@ class MetricKind(str, Enum):
     METRIC_LEXIRECALL = "metric_lexirecall"
 
 
-# One row per kind: its label, a format string over gamma, k and a float
-# epsilon; whether higher values win (ESL3 and recall error measure effort);
-# and the names ``MetricId.parse`` accepts without a parameter. TSE labels a
-# non-reciprocal exposure ``TSE[...]``, and the four parameterised families
-# (rbp, recall@, tse:, mlr) are parsed by hand.
+# One row per kind: its label, a format string over k and the
+# ``parameter_label`` of gamma and epsilon; whether higher values win (ESL3
+# and recall error measure effort); and the names ``MetricId.parse`` accepts
+# without a parameter. TSE labels a non-reciprocal exposure ``TSE[...]``, and
+# the four parameterised families (rbp, recall@, tse:, mlr) are parsed by hand.
 _KINDS = {
     MetricKind.AP: ("AP", True, ("ap", "map")),
     MetricKind.RR: ("RR", True, ("rr", "mrr")),
     MetricKind.NDCG: ("NDCG", True, ("ndcg",)),
-    MetricKind.RBP: ("RBP({gamma:g})", True, ()),
+    MetricKind.RBP: ("RBP({gamma})", True, ()),
     MetricKind.RECALL_AT_K: ("recall@{k}", True, ()),
     MetricKind.RPRECISION: ("RPrecision", True, ("rprecision", "r-precision", "rprec", "rp")),
     MetricKind.TSE: ("TSE", True, ()),
     MetricKind.ESL3: ("ESL3", False, ("esl3",)),
     MetricKind.RECALL_ERROR: ("RecallError", False, ("recallerror", "recall-error", "recall_error")),
-    MetricKind.METRIC_LEXIRECALL: ("MetricLexirecall({epsilon:g})", True, ()),
+    MetricKind.METRIC_LEXIRECALL: ("MetricLexirecall({epsilon})", True, ()),
 }
 _PLAIN_NAMES = {name: kind for kind, (_, _, names) in _KINDS.items() for name in names}
 
@@ -228,9 +228,9 @@ class MetricId:
     def label(self) -> str:
         if self.kind is MetricKind.TSE and self.exposure.kind.value != "reciprocal":
             return f"TSE[{self.exposure.label}]"
-        # A Fraction takes a float format spec only from Python 3.12 on.
-        epsilon = None if self.epsilon is None else float(self.epsilon)
-        return _KINDS[self.kind][0].format(gamma=self.gamma, k=self.k, epsilon=epsilon)
+        gamma = None if self.gamma is None else parameter_label(self.gamma)
+        epsilon = None if self.epsilon is None else parameter_label(self.epsilon)
+        return _KINDS[self.kind][0].format(gamma=gamma, k=self.k, epsilon=epsilon)
 
     @classmethod
     def parse(cls, text: str, corpus_size: int | None = None) -> "MetricId":

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lexirank.cli import main
+from lexirank.cli import _load_runs, main
 
 from conftest import subprocess_env
 
@@ -67,6 +67,23 @@ class TestEval:
         table = {tuple(line.split("\t")[:3]): line.split("\t")[3] for line in lines}
         # Only ranks 2 and 3 of q1/sysA survive; the third hit imputes to 50.
         assert table[("q1", "sysA", "TSE")] == "0.02"
+
+    def test_metrics_that_differ_past_six_digits_keep_their_rows(self, tmp_path):
+        out = tmp_path / "eval.tsv"
+        argv = ["eval", *data_args(out), "--metric", "rbp:0.8", "--metric", "rbp:0.8000001"]
+        assert run_cli(argv) == 0
+        labels = {line.split("\t")[2] for line in out.read_text().splitlines()[1:]}
+        assert labels == {"RBP(0.8)", "RBP(0.8000001)"}
+
+    def test_loaded_runs_share_their_ids(self, tmp_path):
+        first, second = tmp_path / "a.txt", tmp_path / "b.txt"
+        first.write_text("q1 Q0 doc-1 1 2 ta\nq1 Q0 doc-2 2 1 ta\n")
+        second.write_text("q1 Q0 doc-2 1 2 tb\nq1 Q0 doc-3 2 1 tb\n")
+        runs = _load_runs([str(first), str(second)], corpus_size=10)
+        a, b = runs["ta"]["q1"], runs["tb"]["q1"]
+        assert a.items[1] == b.items[0] == "doc-2"
+        assert a.items[1] is b.items[0]
+        assert a.request_id is b.request_id
 
     def test_json_output(self, tmp_path):
         out = tmp_path / "eval.json"

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import lexirank
 from lexirank import (
@@ -207,12 +209,52 @@ class TestDomainTypes:
         with pytest.raises(ValidationError):
             RelevantPositions.worst_case(11, 10)
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        corpus_size=st.one_of(st.integers(1, 300), st.integers(300, 10**6)),
+        data=st.data(),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_worst_case_matches_the_range_built_vector(self, corpus_size, data, rng):
+        m = data.draw(st.integers(1, min(corpus_size, 300)), label="m")
+        found = data.draw(st.integers(0, m), label="retrieved")
+        retrieved = sorted(rng.sample(range(1, corpus_size - m + found + 1), found))
+        _check_worst_case(m, corpus_size, retrieved)
+
+    @pytest.mark.parametrize(
+        "m,corpus_size,retrieved",
+        [
+            (1, 1, ()),
+            (1, 1, (1,)),
+            (500, 500, ()),
+            (500, 500, tuple(range(1, 251))),
+            (500, 500, tuple(range(1, 501))),
+            (200, 10**6, ()),
+            (200, 10**6, tuple(range(5, 1001, 5))),
+        ],
+        ids=["m=D=1", "m=D=1-retrieved", "m=D", "m=D-half", "m=D-all", "none", "all"],
+    )
+    def test_worst_case_edges(self, m, corpus_size, retrieved):
+        _check_worst_case(m, corpus_size, retrieved)
+
     def test_preference_invariants(self):
         assert Preference.TIE.is_tie
         assert not Preference.FIRST.is_tie and not Preference.SECOND.is_tie
         assert [p.sign for p in Preference] == [1, -1, 0]
         assert all(Preference(p.sign) is p for p in Preference)
         assert all(type(p.sign) is int for p in Preference)
+
+
+def _check_worst_case(m, corpus_size, retrieved):
+    """``worst_case`` equals the vector built from a range, and the next
+    vector of the same ``(m, corpus_size)`` holds the very same tail ints."""
+    rp = RelevantPositions.worst_case(m, corpus_size, retrieved)
+    tail = range(corpus_size - m + len(retrieved) + 1, corpus_size + 1)
+    assert rp.positions == (*retrieved, *tail)
+    assert rp.corpus_size == corpus_size
+    bottom = RelevantPositions.worst_case(m, corpus_size)
+    shared = zip(rp.positions[len(retrieved) :], bottom.positions[len(retrieved) :])
+    assert all(a is b for a, b in shared)
 
 
 class TestExposure:
@@ -261,6 +303,7 @@ class TestExposure:
     def test_labels(self):
         assert ExposureModel.geometric(0.8).label == "geometric(0.8)"
         assert ExposureModel.linear(50).label == "linear(50)"
+        assert ExposureModel.geometric(0.8000001).label == "geometric(0.8000001)"
 
 
 class TestExports:

@@ -7,6 +7,7 @@ import math
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -359,6 +360,59 @@ class TestBulkParserMatchesLineLoop:
         assert _outcome(parse_run_file, path, 10**6) == _outcome(_line_loop, path, 10**6)
 
 
+class TestSharedIds:
+    """One ``ids`` dict across the files of a collection."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        files=st.integers(2, 4),
+        grouped=st.booleans(),
+        disjoint=st.booleans(),
+        broken=st.none() | st.integers(0, 3),
+        block=st.sampled_from(_BLOCK_SIZES),
+    )
+    def test_shared_ids_parse_as_each_file_alone(
+        self, tmp_path_factory, data, files, grouped, disjoint, broken, block
+    ):
+        directory = tmp_path_factory.mktemp("shared")
+        paths = []
+        for index in range(files):
+            rows = data.draw(_run_lines(ascii_only=True))
+            if disjoint:
+                rows = [[*fields[:2], f"{fields[2]}-{index}", *fields[3:]] for fields in rows]
+            if grouped:
+                rows.sort(key=lambda fields: fields[0])
+            corpus_size = 100
+            if index == broken:
+                rows, corpus_size = _break(data.draw, rows)
+            path = directory / f"run{index}.txt"
+            path.write_bytes(data.draw(_layout(rows)))
+            paths.append((path, corpus_size))
+        ids: dict[str, str] = {}
+        with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
+            alone = [_outcome(parse_run_file, path, size) for path, size in paths]
+            shared = [
+                _outcome(lambda p, c: parse_run_file(p, c, ids), path, size)
+                for path, size in paths
+            ]
+        assert shared == alone
+        kept: dict[str, str] = {}
+        for outcome in shared:
+            if outcome[0] == "error":
+                continue
+            for key, request_id, items, _corpus_size, _tag in outcome[0]:
+                for text in (key, request_id, *items):
+                    assert kept.setdefault(text, text) is text
+
+    def test_without_a_dict_ids_are_shared_within_the_file(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 doc-1 1 2 t\nq2 Q0 doc-1 1 2 t\nq1 Q0 doc-2 2 1 t\n")
+        runs = parse_run_file(path, corpus_size=10)
+        assert runs["q1"].items[0] is runs["q2"].items[0]
+        assert next(iter(runs)) is runs["q1"].request_id
+
+
 class TestParseQrels:
     def test_default_threshold(self, tmp_path):
         path = tmp_path / "qrels.txt"
@@ -415,6 +469,35 @@ class TestParseQrels:
         assert not judgments["q1"].evaluable
 
 
+def _format_cell(value: object) -> str:
+    """How a TSV cell prints: the reference for ``write_table``."""
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, float):
+        return format(value, ".6g")
+    return str(value)
+
+
+def _reference_tsv(rows, columns) -> str:
+    lines = ["\t".join(columns)]
+    lines += ["\t".join(_format_cell(row[c]) for c in columns) for row in rows]
+    return "".join(line + "\n" for line in lines)
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from([-0.0, 0.0, 1e-7])
+_CELLS = [
+    st.booleans(),
+    st.booleans().map(np.bool_),
+    st.integers(-(10**20), 10**20),
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.text(max_size=5).filter(lambda t: "\t" not in t),
+    st.none(),
+    st.fractions(),
+]
+
+
 class TestWriteTable:
     def test_tsv_single_row(self, tmp_path):
         path = tmp_path / "out.tsv"
@@ -456,6 +539,20 @@ class TestWriteTable:
         assert path.read_text() == "a\n1\n"
         assert path.stat().st_mode & 0o777 == 0o640
         assert [p.name for p in tmp_path.iterdir()] == ["out.tsv"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), columns=st.lists(st.text("abc", min_size=1), max_size=4, unique=True))
+    def test_tsv_matches_the_cell_reference(self, data, columns):
+        # A column is of one type or of mixed types.
+        kinds = {
+            c: data.draw(st.sampled_from(_CELLS) | st.just(st.one_of(_CELLS)), label=c)
+            for c in columns
+        }
+        row = st.fixed_dictionaries({c: kinds[c] for c in columns})
+        rows = data.draw(st.lists(row, max_size=8), label="rows")
+        buffer = io.StringIO()
+        write_table(rows, columns, buffer)
+        assert buffer.getvalue() == _reference_tsv(rows, columns)
 
     def test_stream_destination_written_directly(self):
         buffer = io.StringIO()

@@ -7,6 +7,8 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lexirank import (
     EnumerationBudgetError,
@@ -183,6 +185,36 @@ class TestDispatch:
             with pytest.raises(ValidationError, match="unknown"):
                 MetricId.parse(text)
         assert MetricId.parse("rbp0.9") == MetricId.parse("rbp::0.9") == MetricId.rbp(0.9)
+
+    def test_labels_keep_every_digit(self):
+        # Six significant digits used to merge these pairs into one label.
+        assert MetricId.parse("rbp:0.8").label == "RBP(0.8)"
+        assert MetricId.parse("rbp:0.8000001").label == "RBP(0.8000001)"
+        assert MetricId.parse("mlr:1/3").label == "MetricLexirecall(1/3)"
+        assert MetricId.parse("mlr:0.333333").label == "MetricLexirecall(0.333333)"
+        assert MetricId.parse("mlr:0.1234567").label == "MetricLexirecall(0.1234567)"
+        assert MetricId.metric_lexirecall(Fraction(1, 7)).label == "MetricLexirecall(1/7)"
+        geometric = MetricId.parse("tse:geometric:0.8000001")
+        assert geometric.label == "TSE[geometric(0.8000001)]"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        gamma=st.floats(0, 1, exclude_min=True, exclude_max=True),
+        epsilon=st.fractions(0, 1, max_denominator=10**9).filter(lambda e: 0 < e < 1),
+    )
+    def test_labels_read_back_to_their_parameters(self, gamma, epsilon):
+        def parameter(label: str) -> str:
+            return label[label.rindex("(") + 1 : label.index(")")]
+
+        assert float(parameter(MetricId.rbp(gamma).label)) == gamma
+        assert float(parameter(MetricId.tse(ExposureModel.geometric(gamma)).label)) == gamma
+        text = parameter(MetricId.metric_lexirecall(epsilon).label)
+        assert Fraction(text) == epsilon
+        # Where six significant digits read back, the label keeps them.
+        if float(format(gamma, "g")) == gamma:
+            assert MetricId.rbp(gamma).label == f"RBP({gamma:g})"
+        if Fraction(format(float(epsilon), "g")) == epsilon:
+            assert text == format(float(epsilon), "g")
 
 
 class TestTotalSearchEfficiency:
