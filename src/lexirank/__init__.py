@@ -63,7 +63,6 @@ from .robustness import (
     worst_case_user,
 )
 from .stats import (
-    ScoreMatrix,
     binomial_sign_test,
     holm_bonferroni,
     paired_t_test,
@@ -87,7 +86,6 @@ __all__ = [
     "Preference",
     "RankedList",
     "RelevantPositions",
-    "ScoreMatrix",
     "SimulationConfig",
     "UndefinedResultError",
     "UnevaluableRequestError",

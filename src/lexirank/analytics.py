@@ -34,7 +34,6 @@ prefix of every longer stream with the same seed.
 from __future__ import annotations
 
 import hashlib
-import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -46,8 +45,6 @@ from .core import Imputation, JudgmentSet, Preference, RankedList, RelevantPosit
 from .errors import UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, MetricKind, evaluate
 from .prefs import DEFAULT_TOLERANCE, PreferenceFn, make_method, metric_compare
-
-logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -468,10 +465,12 @@ def degradation_study(
     request, preferences between all run pairs are recomputed, and two
     things are reported per method: the mean fraction of tied comparisons
     and the mean agreement of degraded-label preferences with the strict
-    full-label preferences.
+    full-label preferences. A repeated fraction or method label, and
+    judgments with no evaluable request, are errors.
     """
     if samples < 1:
         raise ValidationError(f"samples must be positive, got {samples}")
+    check_distinct(fractions, "fraction")
     resolved = _resolve_methods(methods, tolerance)
     tags = sorted(runs)
     run_pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
@@ -479,10 +478,9 @@ def degradation_study(
         raise ValidationError("need at least two runs")
 
     evaluable = sorted(q for q, judgment in judgments.items() if judgment.evaluable)
-    skipped = len(judgments) - len(evaluable)
-    if skipped:
-        logger.warning("skipped %d requests with no relevant items", skipped)
-    full, _missing = project_runs(runs, judgments, evaluable, mode)
+    if not evaluable:
+        raise ValidationError("no evaluable requests")
+    full = project_runs(runs, judgments, evaluable, mode)
     full_prefs: dict[str, list[list]] = {}
     for name, fn in resolved:
         full_prefs[name] = [
@@ -497,7 +495,7 @@ def degradation_study(
                 q: degrade_judgments(judgments[q], fraction, stable_seed(seed, sample, q))
                 for q in evaluable
             }
-            degraded, _missing = project_runs(runs, degraded_judgments, evaluable, mode)
+            degraded = project_runs(runs, degraded_judgments, evaluable, mode)
             for name, fn in resolved:
                 ties = 0
                 comparisons = 0

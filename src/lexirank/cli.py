@@ -6,7 +6,9 @@ preferences with significance), ``ties`` (analytic or empirical tie rates),
 ``orientation`` (precision/recall sensitivity sweeps), and ``degrade``
 (label-removal stability). Every seeded subcommand is byte-identical across
 repeated invocations, and output order never depends on the order of
-``--runs``.
+``--runs``. ``eval``, ``compare`` and ``degrade`` read a collection through
+one loader. Every warning goes through ``logging``, and ``main`` prints each
+as one ``warning: `` line on stderr.
 """
 
 from __future__ import annotations
@@ -67,9 +69,25 @@ def _load_runs(
     return runs
 
 
-def _evaluable_requests(judgments: dict) -> tuple[list[str], int]:
+def _load_collection(args) -> tuple[dict, dict[str, dict[str, object]], list[str]]:
+    """The judgments, the runs and the sorted evaluable requests of a collection.
+
+    Requests with no relevant item, ranked requests with no judgments and
+    evaluable requests that a run does not rank are each reported once as a
+    warning. A collection with no evaluable request is an error.
+    """
+    judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
+    runs = _load_runs(args.runs, args.corpus_size, args.depth)
     evaluable = sorted(q for q, j in judgments.items() if j.evaluable)
-    return evaluable, len(judgments) - len(evaluable)
+    if not evaluable:
+        raise ValidationError("no evaluable requests")
+    if skipped := len(judgments) - len(evaluable):
+        logger.warning("skipped %d requests with no relevant items", skipped)
+    if orphans := {q for run in runs.values() for q in run if q not in judgments}:
+        logger.warning("%d ranked requests have no judgments", len(orphans))
+    if missing := sum(q not in run for run in runs.values() for q in evaluable):
+        logger.warning("%d missing run entries scored as empty rankings", missing)
+    return judgments, runs, evaluable
 
 
 def _write_output(rows, columns, args) -> None:
@@ -77,10 +95,6 @@ def _write_output(rows, columns, args) -> None:
         tables.write_table(rows, columns, sys.stdout, fmt=args.format)
     else:
         tables.write_table(rows, columns, args.out, fmt=args.format)
-
-
-def _report(message: str) -> None:
-    print(message, file=sys.stderr)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -94,15 +108,8 @@ def _metrics(args) -> list[MetricId]:
 
 def cmd_eval(args) -> int:
     metrics = _metrics(args)
-    judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
-    runs = _load_runs(args.runs, args.corpus_size, args.depth)
-    evaluable, skipped = _evaluable_requests(judgments)
-    orphans = {
-        q for run in runs.values() for q in run if q not in judgments
-    }
-    projected, missing_cells = project_runs(
-        runs, judgments, evaluable, Imputation(args.imputation)
-    )
+    judgments, runs, evaluable = _load_collection(args)
+    projected = project_runs(runs, judgments, evaluable, Imputation(args.imputation))
     tags = sorted(runs)
     rows = [
         {
@@ -116,47 +123,35 @@ def cmd_eval(args) -> int:
         for metric in metrics
     ]
     _write_output(rows, ["request_id", "run", "metric", "value"], args)
-    if skipped:
-        _report(f"warning: skipped {skipped} requests with no relevant items")
-    if orphans:
-        _report(f"warning: {len(orphans)} ranked requests have no judgments")
-    if missing_cells:
-        _report(f"warning: {missing_cells} missing run entries scored as empty rankings")
     return 0
 
 
 def cmd_compare(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
-    runs = _load_runs(args.runs, args.corpus_size, args.depth)
-    if len(runs) < 2:
-        raise ValidationError("compare needs at least two runs")
     method = parse_method(args.method, args.corpus_size)
     if args.hsd and method == "lexirecall":
         raise ValidationError(
             "--hsd needs per-request scores; use a metric method such as metric:AP"
         )
     method_name, method_fn = make_method(method, tolerance=args.tolerance)
-    evaluable, skipped = _evaluable_requests(judgments)
-    if not evaluable:
-        raise ValidationError("no evaluable requests")
+    judgments, runs, evaluable = _load_collection(args)
+    if len(runs) < 2:
+        raise ValidationError("compare needs at least two runs")
     tags = sorted(runs)
-    projected, _missing = project_runs(runs, judgments, evaluable, Imputation(args.imputation))
+    projected = project_runs(runs, judgments, evaluable, Imputation(args.imputation))
 
     is_metric_method = isinstance(method, MetricId)
-    score_matrix = None
     if is_metric_method or args.hsd:
         # The tse preference is the order of the TSE metric, so HSD scores it.
         metric = method if is_metric_method else MetricId.tse()
         values = np.array(
             [[evaluate(metric, projected[q][tag]) for q in evaluable] for tag in tags]
         )
-        score_matrix = stats.ScoreMatrix(tuple(tags), tuple(evaluable), values)
 
     pair_rows = []
     p_values = []
-    hsd_grid = stats.tukey_hsd(score_matrix) if args.hsd else None
+    hsd_grid = stats.tukey_hsd(values) if args.hsd else None
     for i, tag_a in enumerate(tags):
         for j in range(i + 1, len(tags)):
             tag_b = tags[j]
@@ -171,7 +166,7 @@ def cmd_compare(args) -> int:
                     wins_b += 1
             total = wins_a + wins_b + ties
             if is_metric_method:
-                p = stats.paired_t_test(score_matrix.row(tag_a), score_matrix.row(tag_b))
+                p = stats.paired_t_test(values[i], values[j])
             else:
                 try:
                     p = stats.binomial_sign_test(wins_a, wins_b)
@@ -214,8 +209,6 @@ def cmd_compare(args) -> int:
     if args.hsd:
         columns.append("p_hsd")
     _write_output(pair_rows, columns, args)
-    if skipped:
-        _report(f"warning: skipped {skipped} requests with no relevant items")
     return 0
 
 
@@ -283,6 +276,7 @@ def cmd_ties(args) -> int:
 
 
 def cmd_simulate_agreement(args) -> int:
+    check_distinct(args.corpus_size, "corpus size")
     rows = []
     for D in args.corpus_size:
         metrics: list[str | MetricId] = [
@@ -345,8 +339,7 @@ def cmd_degrade(args) -> int:
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:
             raise ValidationError(f"fractions must lie in [0, 1), got {fraction}")
-    judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
-    runs = _load_runs(args.runs, args.corpus_size, args.depth)
+    judgments, runs, _evaluable = _load_collection(args)
     rows = analytics.degradation_study(
         runs,
         judgments,
@@ -451,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="%(message)s")
+    logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "eval" and not args.metric:

@@ -307,20 +307,18 @@ def project_runs(
     judgments: Mapping[str, JudgmentSet],
     requests: Iterable[str],
     mode: Imputation = Imputation.PESSIMISTIC,
-) -> tuple[dict[str, dict[str, RelevantPositions]], int]:
+) -> dict[str, dict[str, RelevantPositions]]:
     """Per request and run tag, the imputed position vector.
 
     ``runs`` maps run tags to per-request rankings and ``requests`` names
     evaluable requests of ``judgments``. A run with no ranking for a request
-    is scored as an empty ranking, every relevant item imputed to the bottom;
-    the second return value counts those cells.
+    is scored as an empty ranking, every relevant item imputed to the bottom.
     """
     corpus_sizes = {rl.corpus_size for run in runs.values() for rl in run.values()}
     if len(corpus_sizes) != 1:
         raise ValidationError(f"runs disagree on corpus_size: {sorted(corpus_sizes)}")
     (D,) = corpus_sizes
     out: dict[str, dict[str, RelevantPositions]] = {}
-    missing = 0
     for request_id in requests:
         judgment = judgments[request_id]
         per_run: dict[str, RelevantPositions] = {}
@@ -328,8 +326,7 @@ def project_runs(
             ranked = run.get(request_id)
             if ranked is None:
                 per_run[tag] = RelevantPositions.worst_case(judgment.m, D)
-                missing += 1
             else:
                 per_run[tag] = project_and_impute(ranked, judgment, mode)
         out[request_id] = per_run
-    return out, missing
+    return out

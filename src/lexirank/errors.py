@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package, and one shared input check."""
 
+from typing import Hashable, Iterable
+
 
 class LexirankError(Exception):
     """Base class for all errors raised by this package."""
@@ -33,8 +35,8 @@ class UndefinedResultError(LexirankError):
     """The requested statistic is undefined on this input (e.g. no decisive pairs)."""
 
 
-def check_distinct(labels: list[str], what: str) -> None:
-    """Reject a repeated label, which would otherwise compute and print its rows twice."""
+def check_distinct(labels: Iterable[Hashable], what: str) -> None:
+    """Reject a repeated label or value, which would otherwise compute and print its rows twice."""
     seen = set()
     for label in labels:
         if label in seen:

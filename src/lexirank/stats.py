@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
@@ -30,31 +29,6 @@ from ._numpy import np
 from .errors import UndefinedResultError, ValidationError
 
 logger = logging.getLogger(__name__)
-
-
-@dataclass(frozen=True, eq=False)
-class ScoreMatrix:
-    """Per-run, per-request metric scores on a rectangular grid."""
-
-    runs: tuple[str, ...]
-    requests: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "runs", tuple(self.runs))
-        object.__setattr__(self, "requests", tuple(self.requests))
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        if values.shape != (len(self.runs), len(self.requests)):
-            raise ValidationError(
-                f"values shape {values.shape} does not match "
-                f"{len(self.runs)} runs x {len(self.requests)} requests"
-            )
-        if np.isnan(values).any():
-            raise ValidationError("score matrix has missing cells")
-
-    def row(self, tag: str) -> np.ndarray:
-        return self.values[self.runs.index(tag)]
 
 
 # --- elementary distribution machinery -------------------------------------
@@ -364,8 +338,11 @@ def studentized_range_cdf(q: float, groups: int, df: int) -> float:
     return float(min(1.0, np.sum(s_weights * density * inner)))
 
 
-def tukey_hsd(matrix: ScoreMatrix) -> np.ndarray:
+def tukey_hsd(values: np.ndarray) -> np.ndarray:
     """Pairwise p-values from Tukey's HSD on a two-way (run, request) model.
+
+    ``values`` holds one row of per-request scores per run: a 2-D array of
+    at least 2 runs and 2 requests, with no missing (NaN) cell.
 
     Residual variance comes from the additive run + request decomposition
     with (R-1)(Q-1) degrees of freedom. Zero residual variance degenerates
@@ -377,10 +354,14 @@ def tukey_hsd(matrix: ScoreMatrix) -> np.ndarray:
     Each pair costs one ``studentized_range_cdf`` call, accurate to about
     2e-10 absolute, so a p-value below that level is quadrature noise.
     """
-    values = matrix.values
+    values = np.asarray(values, dtype=float)
+    if values.ndim != 2 or min(values.shape) < 2:
+        raise ValidationError(
+            f"Tukey HSD needs at least 2 runs x 2 requests, got shape {values.shape}"
+        )
+    if np.isnan(values).any():
+        raise ValidationError("score array has missing cells")
     n_runs, n_requests = values.shape
-    if n_runs < 2 or n_requests < 2:
-        raise ValidationError("Tukey HSD needs at least 2 runs and 2 requests")
     run_means = values.mean(axis=1)
     request_means = values.mean(axis=0)
     grand = values.mean()

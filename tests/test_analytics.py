@@ -569,6 +569,17 @@ class TestDegradationStudy:
         with pytest.raises(ValidationError):
             degradation_study(runs, judgments, [0.0], ["lexirecall"], samples=1)
 
+    def test_no_evaluable_request_rejected(self, rng):
+        runs, judgments = _synthetic_collection(rng, n_requests=5)
+        unjudged = {q: JudgmentSet(q, frozenset()) for q in judgments}
+        with pytest.raises(ValidationError, match="no evaluable requests"):
+            degradation_study(runs, unjudged, [0.0], ["lexirecall"], samples=1)
+
+    def test_repeated_fraction_rejected(self, rng):
+        runs, judgments = _synthetic_collection(rng, n_requests=5)
+        with pytest.raises(ValidationError, match="fraction 0.5 given more than once"):
+            degradation_study(runs, judgments, [0.5, 0.25, 0.5], ["lexirecall"], samples=1)
+
     @pytest.mark.parametrize(
         "methods", [["lexirecall", "lexirecall"], ["metric:AP", "AP"], ["tse", "TSE"]]
     )

@@ -1,5 +1,7 @@
 """CLI behaviour: wiring, warnings, determinism, and error paths."""
 
+import ast
+import logging
 import subprocess
 import sys
 import tempfile
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import lexirank
 from lexirank.cli import _load_runs, main
 
 from conftest import subprocess_env
@@ -30,15 +33,17 @@ def data_args(out, runs=RUNS):
 
 
 class TestEval:
-    def test_scores_and_warnings(self, tmp_path, capsys):
+    def test_scores_and_warnings(self, tmp_path, caplog):
+        # In-process, pytest's handlers make main's logging.basicConfig a no-op.
         out = tmp_path / "eval.tsv"
-        code = run_cli(["eval", *data_args(out), "--metric", "TSE", "--metric", "AP"])
+        with caplog.at_level(logging.WARNING):
+            code = run_cli(["eval", *data_args(out), "--metric", "TSE", "--metric", "AP"])
         assert code == 0
         lines = out.read_text().splitlines()
         assert lines[0] == "request_id\trun\tmetric\tvalue"
         table = {tuple(line.split("\t")[:3]): line.split("\t")[3] for line in lines[1:]}
         assert table[("q1", "sysA", "TSE")] == "0.125"
-        err = capsys.readouterr().err
+        err = caplog.text
         assert "skipped 1 requests" in err
         assert "no judgments" in err
         assert "missing run entries" in err
@@ -106,6 +111,44 @@ class TestEval:
                 values[(mode, request_id, run)] = float(value)
         assert values[("optimistic", "q1", "sysB")] == pytest.approx(1 / 11)
         assert values[("pessimistic", "q1", "sysB")] == pytest.approx(1 / 50)
+
+
+class TestCollection:
+    """``eval``, ``compare`` and ``degrade`` read and report a collection alike."""
+
+    COMMANDS = [
+        ["eval"],
+        ["compare", "--method", "lexirecall"],
+        ["compare", "--method", "metric:AP", "--hsd"],
+        ["degrade", "--samples", "2"],
+    ]
+
+    def test_each_command_reports_the_same_warnings(self, tmp_path):
+        expected = [
+            "warning: skipped 1 requests with no relevant items",
+            "warning: 1 ranked requests have no judgments",
+            "warning: 1 missing run entries scored as empty rankings",
+        ]
+        for command in self.COMMANDS:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lexirank", *command, *data_args(tmp_path / "x.tsv")],
+                capture_output=True,
+                text=True,
+                env=subprocess_env(),
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr.splitlines() == expected, command
+
+    def test_no_evaluable_request_fails_every_command(self, tmp_path, capsys):
+        unjudged = tmp_path / "qrels.txt"
+        unjudged.write_text(Path(QRELS).read_text().replace(" 1\n", " 0\n"))
+        out = tmp_path / "x.tsv"
+        for command in self.COMMANDS:
+            argv = data_args(out)
+            argv[argv.index("--qrels") + 1] = unjudged
+            assert run_cli([*command, *argv]) == 1, command
+            assert capsys.readouterr().err == "error: no evaluable requests\n"
+            assert not out.exists()
 
 
 class TestCompare:
@@ -412,6 +455,22 @@ class TestDeterminismAndErrors:
         assert captured.err == "error: metric 'AP' given more than once\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["degrade", *data_args("-"), "--fractions", "0.5,.50"], "fraction 0.5"),
+            (["simulate-agreement", "--corpus-size", "500", "--corpus-size", "500",
+              "--pairs", "50"], "corpus size 500"),
+        ],
+        ids=["degrade-fractions", "simulate-agreement-corpus-size"],
+    )
+    def test_repeated_value_fails_cleanly(self, capsys, argv, message):
+        # Compared as numbers: "0.5" and ".50" name one fraction.
+        assert run_cli(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message} given more than once\n"
+        assert captured.out == ""
+
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"
         argv = ["ties", "--mode", "empirical", "--corpus-size", "100", "--seed", "-1"]
@@ -522,3 +581,18 @@ class TestImports:
         # The benchmark's tracer looks the traced modules up in sys.modules.
         traced = ("io", "core", "metrics", "prefs", "stats", "analytics", "robustness")
         assert {f"lexirank.{name}" for name in traced} <= _modules_after("import lexirank.cli")
+
+
+def test_only_main_prints():
+    # Warnings go through logging; the one print is main's error line.
+    prints = []
+    for path in sorted(Path(lexirank.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+                scope = parents[node]
+                while not isinstance(scope, (ast.FunctionDef, ast.Module)):
+                    scope = parents[scope]
+                prints.append((path.name, getattr(scope, "name", None), ast.unparse(node)))
+    assert prints == [("cli.py", "main", "print(f'error: {exc}', file=sys.stderr)")]

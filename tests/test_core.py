@@ -137,18 +137,17 @@ class TestProjectRuns:
     def test_matches_per_cell_projection(self):
         judgments = {"q1": make_judgments({"d1", "d2", "d9"})}
         for mode in (Imputation.PESSIMISTIC, Imputation.OPTIMISTIC):
-            projected, missing = project_runs(self.runs(), judgments, ["q1"], mode)
-            assert missing == 0
+            projected = project_runs(self.runs(), judgments, ["q1"], mode)
             for tag, run in self.runs().items():
                 assert projected["q1"][tag] == project_and_impute(run["q1"], judgments["q1"], mode)
 
-    def test_missing_ranking_is_worst_case_and_counted(self):
+    def test_missing_ranking_is_worst_case(self):
+        # The CLI loader counts such cells; see test_cli.py::TestCollection.
         judgments = {
             "q1": make_judgments({"d1"}),
             "q2": make_judgments({"d3", "d4"}, request_id="q2"),
         }
-        projected, missing = project_runs(self.runs(), judgments, ["q1", "q2"])
-        assert missing == 1
+        projected = project_runs(self.runs(), judgments, ["q1", "q2"])
         assert projected["q2"]["a"] == RelevantPositions.worst_case(2, 20)
         assert projected["q2"]["b"].positions == (1, 20)
         assert list(projected) == ["q1", "q2"]

@@ -15,7 +15,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lexirank import (
-    ScoreMatrix,
     UndefinedResultError,
     ValidationError,
     binomial_sign_test,
@@ -245,19 +244,14 @@ def _sign_flip_p(a: np.ndarray, b: np.ndarray, rng, iterations=4000) -> float:
 
 
 class TestTukey:
-    def _matrix(self, rows):
-        runs = tuple(f"run{i}" for i in range(len(rows)))
-        requests = tuple(f"q{i}" for i in range(len(rows[0])))
-        return ScoreMatrix(runs, requests, np.array(rows, dtype=float))
-
     def test_identical_runs_all_ones(self):
         base = [0.2, 0.5, 0.9, 0.4]
-        grid = tukey_hsd(self._matrix([base, base, base]))
+        grid = tukey_hsd(np.array([base, base, base]))
         assert np.all(grid == 1.0)
 
     def test_grid_is_symmetric_probability(self, rng):
         values = rng.uniform(size=(4, 9))
-        grid = tukey_hsd(ScoreMatrix(tuple("abcd"), tuple(f"q{i}" for i in range(9)), values))
+        grid = tukey_hsd(values)
         assert np.allclose(grid, grid.T)
         assert np.all((grid >= 0.0) & (grid <= 1.0))
         assert np.all(np.diag(grid) == 1.0)
@@ -269,8 +263,7 @@ class TestTukey:
             base + rng.normal(scale=0.03, size=20),
             base + rng.normal(scale=0.03, size=20),
         ]
-        matrix = self._matrix(rows)
-        grid = tukey_hsd(matrix)
+        grid = tukey_hsd(np.array(rows))
         assert grid[0, 1] < 0.05
         assert grid[0, 2] < 0.05
         assert grid[1, 2] > 0.05
@@ -282,7 +275,7 @@ class TestTukey:
 
     def test_degenerate_offsets(self):
         base = np.array([0.1, 0.4, 0.7])
-        grid = tukey_hsd(self._matrix([base, base + 0.2]))
+        grid = tukey_hsd(np.array([base, base + 0.2]))
         assert grid[0, 1] == 0.0
 
     def test_degenerate_offsets_inexact_in_binary(self):
@@ -290,25 +283,19 @@ class TestTukey:
         # equal means reached by different sums can differ in the last bit;
         # both are rounding, so the grid is the exact 0/1 degenerate one.
         base = np.array([0.1, 0.4, 0.7])
-        grid = tukey_hsd(self._matrix([base, base + 0.1, base + 0.1]))
+        grid = tukey_hsd(np.array([base, base + 0.1, base + 0.1]))
         assert grid[0, 1] == grid[0, 2] == 0.0
         assert grid[1, 2] == 1.0
         first, second = base + 0.7, (base + 0.4) + 0.3
         assert first.mean() != second.mean()
-        grid = tukey_hsd(self._matrix([first, second, base]))
+        grid = tukey_hsd(np.array([first, second, base]))
         assert grid[0, 1] == 1.0
         assert grid[0, 2] == grid[1, 2] == 0.0
 
     def test_grid_against_reference(self, rng):
         n_runs, n_requests = 5, 12
         values = rng.uniform(size=(n_runs, n_requests))
-        grid = tukey_hsd(
-            ScoreMatrix(
-                tuple(f"r{i}" for i in range(n_runs)),
-                tuple(f"q{i}" for i in range(n_requests)),
-                values,
-            )
-        )
+        grid = tukey_hsd(values)
         run_means = values.mean(axis=1)
         resid = values - run_means[:, None] - values.mean(axis=0)[None, :] + values.mean()
         df = (n_runs - 1) * (n_requests - 1)
@@ -320,10 +307,11 @@ class TestTukey:
                 assert grid[i, j] == pytest.approx(expected, abs=1e-6)
 
     def test_shape_validation(self):
-        with pytest.raises(ValidationError):
-            tukey_hsd(self._matrix([[0.1, 0.2]]))
-        with pytest.raises(ValidationError):
-            ScoreMatrix(("a",), ("q1", "q2"), np.zeros((2, 2)))
+        # One run, one request, a 1-D row and a missing cell.
+        nan_cell = [[0.1, 0.2], [0.3, math.nan]]
+        for values in ([[0.1, 0.2]], [[0.1], [0.2]], [0.1, 0.2, 0.3], nan_cell):
+            with pytest.raises(ValidationError):
+                tukey_hsd(np.array(values))
 
 
 class TestNoScipyAtRuntime:
@@ -337,11 +325,11 @@ class TestNoScipyAtRuntime:
         argv += ["--qrels", str(fixtures / "qrels.txt"), "--out", str(tmp_path / "hsd.tsv")]
         code = (
             "import sys, numpy as np\n"
-            "from lexirank import ScoreMatrix, tukey_hsd\n"
+            "from lexirank import tukey_hsd\n"
             "from lexirank.cli import main\n"
             f"assert main({argv!r}) == 0\n"
             "values = np.arange(12.0).reshape(3, 4) % 5\n"
-            "tukey_hsd(ScoreMatrix(('a', 'b', 'c'), ('q1', 'q2', 'q3', 'q4'), values))\n"
+            "tukey_hsd(values)\n"
             "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
         )
         proc = subprocess.run(
