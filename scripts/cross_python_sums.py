@@ -5,15 +5,15 @@ Usage, from the repository root:
 
     python3 scripts/cross_python_sums.py [INTERPRETER ...]
 
-The pure-Python modules ``core.py``, ``errors.py``, ``io.py`` and
-``metrics.py`` are copied into a temporary package, so interpreters without
-numpy can import them. A seeded sample of 3000 position vectors (m from 5 to
-200 in a corpus of 10^6) is scored with ``metrics.evaluate`` under this
-interpreter and under each INTERPRETER, and the ``repr`` of every score is
-compared. Each interpreter scores every vector twice, metrics in forward
-order and then in reverse, with one ``MetricId`` object per metric: the
-second pass opens with the metric the first pass ended on, so it reads the
-scores the vectors stored. Both passes must give the same reprs.
+Each interpreter imports the package from ``src/``, which needs no numpy,
+and the parts checked here run no numpy code. A seeded sample of 3000
+position vectors (m from 5 to 200 in a corpus of 10^6) is scored with
+``metrics.evaluate`` under this interpreter and under each INTERPRETER, and
+the ``repr`` of every score is compared. Each interpreter scores every
+vector twice, metrics in forward order and then in reverse, with one
+``MetricId`` object per metric: the second pass opens with the metric the
+first pass ended on, so it reads the scores the vectors stored. Both passes
+must give the same reprs.
 Each interpreter also parses a seeded run file (shuffled lines, tied scores,
 non-ASCII item ids and separators, blank lines) with ``io.parse_run_file``.
 Its rankings, and the rank-mismatch count its warning reports, must equal
@@ -30,8 +30,8 @@ must equal the reference's.
 The generic summation form, ``robustness.user_utility``, needs numpy and is
 pinned to a left-to-right reference by the test suite instead.
 Without arguments, every ``python3.N`` on PATH (pyenv's shims excepted) and
-every pyenv version from 3.10 on is tried, each once; one that cannot run the
-modules is reported and skipped.
+every pyenv version from 3.10 on is tried, each once; one that cannot import
+the package is reported and skipped.
 The exit status is 1 when any score, ranking, error or label differs. The test
 suite runs it under the local interpreters that lack numpy, and skips that
 test when there is none.
@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import argparse
 import glob
-import importlib
 import json
 import logging.handlers
 import os
@@ -53,10 +52,7 @@ import sys
 import tempfile
 from pathlib import Path
 
-PURE_MODULES = ("core.py", "errors.py", "io.py", "metrics.py")
-PACKAGE = "lexirank_pure"
 ROOT = Path(__file__).resolve().parent.parent
-SRC = ROOT / "src" / "lexirank"
 METRIC_NAMES = ROOT / "tests" / "golden" / "metric_names.json"
 CORPUS_SIZE = 10**6
 VECTORS = 3000
@@ -105,11 +101,11 @@ def rankings(runs) -> list:
     return [[q, list(ranking.items)] for q, ranking in runs.items()]
 
 
-def pooled_parse(io, package_parent: str) -> dict:
+def pooled_parse(io, work_dir: str) -> dict:
     """Both valid files parsed with one ``ids`` dict: their rankings, how many
     differ from parsing each file alone, and how many ids are held by a
     string other than the first one seen with their text."""
-    paths = [os.path.join(package_parent, name) for name in (RUN_FILE, SECOND_RUN_FILE)]
+    paths = [os.path.join(work_dir, name) for name in (RUN_FILE, SECOND_RUN_FILE)]
     ids: dict[str, str] = {}
     pooled = [io.parse_run_file(path, CORPUS_SIZE, ids) for path in paths]
     alone = [io.parse_run_file(path, CORPUS_SIZE) for path in paths]
@@ -136,11 +132,11 @@ def name_record(metrics, text: str, corpus_size: int | None) -> str:
         return f"{type(exc).__name__}: {exc}"
 
 
-def score(package_parent: str) -> None:
-    """Worker: read vectors as JSON on stdin, write score reprs on stdout."""
-    sys.path.insert(0, package_parent)
-    core = importlib.import_module(f"{PACKAGE}.core")
-    metrics = importlib.import_module(f"{PACKAGE}.metrics")
+def score(work_dir: str) -> None:
+    """Worker: read vectors as JSON on stdin and the run files in ``work_dir``,
+    write score reprs, parses and labels on stdout."""
+    sys.path.insert(0, str(ROOT / "src"))
+    from lexirank import core, io, metrics
 
     vectors = [core.RelevantPositions.from_positions(v, CORPUS_SIZE) for v in json.load(sys.stdin)]
     metric_ids = {name: metrics.MetricId.parse(name) for name in METRICS}
@@ -149,13 +145,12 @@ def score(package_parent: str) -> None:
         for order in (METRICS, METRICS[::-1])
     )
     repeats = sum(a != b for name in METRICS for a, b in zip(forward[name], backward[name]))
-    io = importlib.import_module(f"{PACKAGE}.io")
     warnings = logging.handlers.BufferingHandler(capacity=100)
     io.logger.addHandler(warnings)
-    runs = io.parse_run_file(os.path.join(package_parent, RUN_FILE), CORPUS_SIZE)
+    runs = io.parse_run_file(os.path.join(work_dir, RUN_FILE), CORPUS_SIZE)
     found = [re.search(r": (\d+) rank fields disagree", r.getMessage()) for r in warnings.buffer]
     try:
-        io.parse_run_file(os.path.join(package_parent, MALFORMED_RUN_FILE), CORPUS_SIZE)
+        io.parse_run_file(os.path.join(work_dir, MALFORMED_RUN_FILE), CORPUS_SIZE)
         error = None
     except Exception as exc:
         error = [type(exc).__name__, str(exc), getattr(exc, "line", None)]
@@ -163,7 +158,7 @@ def score(package_parent: str) -> None:
         "rankings": rankings(runs),
         "rank_mismatches": [int(m.group(1)) if m else None for m in found],
         "error": error,
-        "pooled": pooled_parse(io, package_parent),
+        "pooled": pooled_parse(io, work_dir),
     }
     ledger = json.loads(METRIC_NAMES.read_text(encoding="utf-8"))
     spellings = [row for row in ledger if "text" in row]
@@ -204,9 +199,9 @@ def local_interpreters() -> list[str]:
     return [p for p in paths if p != this]
 
 
-def run(interpreter: str, package_parent: str, vectors_json: str) -> dict | str:
+def run(interpreter: str, work_dir: str, vectors_json: str) -> dict | str:
     proc = subprocess.run(
-        [interpreter, __file__, "--worker", package_parent],
+        [interpreter, __file__, "--worker", work_dir],
         input=vectors_json,
         capture_output=True,
         text=True,
@@ -247,13 +242,9 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     vectors_json = json.dumps(sample())
-    with tempfile.TemporaryDirectory() as parent:
-        os.mkdir(os.path.join(parent, PACKAGE))
-        Path(parent, PACKAGE, "__init__.py").write_text("")
-        for name in PURE_MODULES:
-            shutil.copy(SRC / name, os.path.join(parent, PACKAGE, name))
-        write_run_files(parent)
-        reference = run(sys.executable, parent, vectors_json)
+    with tempfile.TemporaryDirectory() as work_dir:
+        write_run_files(work_dir)
+        reference = run(sys.executable, work_dir, vectors_json)
         if isinstance(reference, str):
             print(f"reference {sys.executable} failed: {reference}")
             return 2
@@ -269,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
             f"{differing} differing"
         )
         for interpreter in args.interpreters or local_interpreters():
-            result = run(interpreter, parent, vectors_json)
+            result = run(interpreter, work_dir, vectors_json)
             if isinstance(result, str):
                 print(f"skipped {interpreter}: {result}")
                 continue

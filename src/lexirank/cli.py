@@ -328,8 +328,9 @@ def cmd_orientation(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    spellings = [f for f in map(str.strip, args.fractions.split(",")) if f]
     try:
-        fractions = [float(f) for f in args.fractions.split(",") if f.strip() != ""]
+        fractions = [float(f) for f in spellings]
     except ValueError:
         raise ValidationError(
             f"--fractions takes comma-separated numbers, got {args.fractions!r}"
@@ -339,6 +340,16 @@ def cmd_degrade(args) -> int:
     for fraction in fractions:
         if not 0.0 <= fraction < 1.0:
             raise ValidationError(f"fractions must lie in [0, 1), got {fraction}")
+    check_distinct(fractions, "fraction")
+    analytics._resolve_methods(args.method, args.tolerance)
+    # Each fraction labels its rows, so no two may print alike in a TSV cell.
+    cell_text = tables._cell_formatter(float)
+    printed: dict[str, str] = {}
+    for spelling, fraction in zip(spellings, fractions):
+        text = cell_text(fraction)
+        first = printed.setdefault(text, spelling)
+        if first != spelling:
+            raise ValidationError(f"fractions {first} and {spelling} both print as {text}")
     judgments, runs, _evaluable = _load_collection(args)
     rows = analytics.degradation_study(
         runs,
@@ -463,7 +474,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                 f"tolerance must be a finite non-negative number, got {args.tolerance}"
             )
         return args.func(args)
-    except (LexirankError, OSError) as exc:
+    except (LexirankError, OSError, ModuleNotFoundError) as exc:
+        # ModuleNotFoundError: numpy is missing and the command needs it.
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

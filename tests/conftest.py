@@ -7,7 +7,10 @@ counting, so that library values are checked against a second route.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import os
+import subprocess
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +30,28 @@ def subprocess_env() -> dict[str, str]:
     root = str(Path(lexirank.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     return env
+
+
+CROSS_PYTHON_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cross_python_sums.py"
+
+
+@functools.cache
+def interpreters_without_numpy() -> tuple[str, ...]:
+    """Local interpreters the cross-Python script finds that start but cannot
+    import numpy.
+
+    They cannot run this suite, so the script and the numpy-free command
+    goldens are their only checks.
+    """
+    spec = importlib.util.spec_from_file_location("cross_python_sums", CROSS_PYTHON_SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    found = []
+    for interpreter in script.local_interpreters():
+        probe = subprocess.run([interpreter, "-c", "import numpy"], capture_output=True, text=True)
+        if "No module named 'numpy'" in probe.stderr:
+            found.append(interpreter)
+    return tuple(found)
 
 
 def ranking_with_relevant_at(positions: tuple[int, ...], corpus_size: int):

@@ -471,6 +471,32 @@ class TestDeterminismAndErrors:
         assert captured.err == f"error: {message} given more than once\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--fractions", "0,abc"], "--fractions takes comma-separated numbers, got '0,abc'"),
+            (["--fractions", "0.5,1"], "fractions must lie in [0, 1), got 1.0"),
+            (["--fractions", "0.5,.50"], "fraction 0.5 given more than once"),
+            (["--fractions", "0.5,0.5000001"], "fractions 0.5 and 0.5000001 both print as 0.5"),
+            (["--method", "AP", "--method", "metric:AP"],
+             "comparison method 'AP' given more than once"),
+            (["--method", "made-up"], "unknown metric 'made-up'"),
+            (["--tolerance", "-1"], "tolerance must be a finite non-negative number, got -1.0"),
+        ],
+        ids=["malformed-fraction", "fraction-range", "repeated-fraction", "fractions-print-alike",
+             "repeated-method", "unknown-method", "tolerance"],
+    )
+    def test_degrade_checks_flags_before_reading_files(
+        self, tmp_path, capsys, caplog, flags, message
+    ):
+        # The run file does not exist, so reading it would fail with another error.
+        out = tmp_path / "x.tsv"
+        argv = ["degrade", *data_args(out, runs=[tmp_path / "absent.txt"]), *flags]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not caplog.records
+        assert not out.exists()
+
     def test_negative_seed_fails_cleanly(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"
         argv = ["ties", "--mode", "empirical", "--corpus-size", "100", "--seed", "-1"]
@@ -576,6 +602,28 @@ class TestImports:
             code += f"\nassert lexirank.cli.main({[*argv, '--out', str(tmp_path / 'x.tsv')]!r}) == 0"
         loaded = _modules_after(code)
         assert not {name for name in loaded if name.startswith("numpy.")}
+
+    def test_missing_numpy_fails_only_where_it_is_used(self, tmp_path):
+        # find_spec stands in for an interpreter without numpy.
+        out = tmp_path / "x.tsv"
+        argv = [str(a) for a in ["compare", "--method", "metric:AP", "--hsd", *data_args(out)]]
+        code = (
+            "import importlib.util, sys\n"
+            "find_spec = importlib.util.find_spec\n"
+            "importlib.util.find_spec = lambda name, *a: (\n"
+            "    None if name == 'numpy' else find_spec(name, *a))\n"
+            "import lexirank, lexirank.cli\n"
+            "[getattr(lexirank, name) for name in lexirank.__all__]\n"
+            "assert 'numpy' not in sys.modules\n"
+            f"sys.exit(lexirank.cli.main({argv!r}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "error: No module named 'numpy'"
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_cli_import_loads_every_module(self):
         # The benchmark's tracer looks the traced modules up in sys.modules.

@@ -15,6 +15,7 @@ ask them to.
 
 import json
 import random
+import subprocess
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,7 +31,10 @@ from lexirank import (
 )
 from lexirank.cli import main
 
+from conftest import interpreters_without_numpy, subprocess_env
+
 GOLDEN = Path(__file__).parent / "golden"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 COMMANDS = {
     "ties_analytic.json": [
@@ -53,6 +57,49 @@ def test_command_matches_golden(tmp_path, name):
     out = tmp_path / name
     assert main([*COMMANDS[name], "--format", "json", "--out", str(out)]) == 0
     assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+def _fixture_flags() -> list[str]:
+    flags = []
+    for name in ("run_a.txt", "run_b.txt", "run_c.txt"):
+        flags += ["--runs", str(FIXTURES / name)]
+    return flags + ["--qrels", str(FIXTURES / "qrels.txt"), "--corpus-size", "50"]
+
+
+# The commands that run no numpy code, with the arguments of criterion 10 and
+# of COMMANDS. ``degrade`` draws its samples with numpy, so it is left out.
+NUMPY_FREE_COMMANDS = {
+    "eval.tsv": [
+        "eval", *_fixture_flags(), "--metric", "AP", "--metric", "NDCG",
+        "--metric", "recall@10", "--metric", "RPrecision", "--metric", "TSE",
+    ],
+    "compare.tsv": ["compare", *_fixture_flags(), "--method", "lexirecall"],
+    "ties_analytic.json": [*COMMANDS["ties_analytic.json"], "--format", "json"],
+    "orientation.json": [*COMMANDS["orientation.json"], "--format", "json"],
+}
+
+
+def test_numpy_free_commands_match_golden_under_interpreters_without_numpy(tmp_path):
+    interpreters = interpreters_without_numpy()
+    if not interpreters:
+        pytest.skip("no local Python interpreter without numpy")
+    jobs = [[*argv, "--out", str(tmp_path / name)] for name, argv in NUMPY_FREE_COMMANDS.items()]
+    # Last, a command that needs numpy: one error line, and no output file.
+    hsd = tmp_path / "hsd.tsv"
+    jobs.append(["compare", *_fixture_flags(), "--method", "metric:AP", "--hsd", "--out", str(hsd)])
+    codes = [0] * len(NUMPY_FREE_COMMANDS) + [1]
+    code = f"import sys\nfrom lexirank.cli import main\nsys.exit([main(a) for a in {jobs!r}] != {codes})"
+    for interpreter in interpreters:
+        proc = subprocess.run(
+            [interpreter, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, f"{interpreter}: {proc.stderr}"
+        assert proc.stderr.splitlines()[-1] == "error: No module named 'numpy'", interpreter
+        assert "Traceback" not in proc.stderr and not hsd.exists(), interpreter
+        for name in NUMPY_FREE_COMMANDS:
+            got = (tmp_path / name).read_bytes()
+            assert got == (GOLDEN / name).read_bytes(), f"{interpreter}: {name}"
+            (tmp_path / name).unlink()
 
 
 def write_collection(directory: Path) -> list[str]:

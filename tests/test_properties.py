@@ -2,7 +2,6 @@
 
 import copy
 import dataclasses
-import importlib.util
 import math
 import operator
 import pickle
@@ -10,7 +9,6 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import partial, reduce
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -37,7 +35,7 @@ from lexirank import (
 )
 from lexirank.errors import UnevaluableRequestError
 
-from conftest import recall_level_form
+from conftest import CROSS_PYTHON_SCRIPT, interpreters_without_numpy, recall_level_form
 from rank_scenarios import contiguous_lift_case, retrieval_growth_case, swap_up_case
 
 EQ1_METRICS = [MetricId.ap(), MetricId.rr(), MetricId.ndcg(), MetricId.rbp(0.8)]
@@ -315,27 +313,8 @@ class TestLexirecallScan:
         assert lexirecall_compare(y, x) is bottom_up_lexirecall(y, x)
 
 
-CROSS_PYTHON_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "cross_python_sums.py"
-
-
-def _interpreters_without_numpy() -> list[str]:
-    """Local interpreters the script finds that start but cannot import numpy.
-
-    They cannot run this suite, so the script is their only check.
-    """
-    spec = importlib.util.spec_from_file_location("cross_python_sums", CROSS_PYTHON_SCRIPT)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    found = []
-    for interpreter in script.local_interpreters():
-        probe = subprocess.run([interpreter, "-c", "import numpy"], capture_output=True, text=True)
-        if "No module named 'numpy'" in probe.stderr:
-            found.append(interpreter)
-    return found
-
-
 def test_scores_identical_under_interpreters_without_numpy():
-    interpreters = _interpreters_without_numpy()
+    interpreters = interpreters_without_numpy()
     if not interpreters:
         pytest.skip("no local Python interpreter without numpy")
     proc = subprocess.run(
