@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
+from . import _pcg64
 from ._numpy import np
 from .core import Imputation, JudgmentSet, Preference, RankedList, RelevantPositions, project_runs
 from .errors import UndefinedResultError, ValidationError, check_distinct
@@ -428,8 +429,13 @@ def degrade_judgments(
     """Remove a uniformly sampled fraction of the relevant items.
 
     Removes round-half-up(fraction * m) items but always leaves at least
-    one, so every degraded request stays evaluable. Deterministic in the
-    seed.
+    one, so every degraded request stays evaluable. The removed items are
+    those at the indices that numpy's seeded
+    ``default_rng(seed).choice(m, size=remove, replace=False)`` picks from
+    the sorted relevant ids. ``_pcg64.choice``, a plain-Python port, draws
+    them, so the draw does not depend on the installed numpy, which does not
+    promise that ``Generator`` streams stay the same across its versions
+    (NEP 19).
     """
     if not 0.0 <= fraction < 1.0:
         raise ValidationError(f"fraction must lie in [0, 1), got {fraction}")
@@ -439,10 +445,8 @@ def degrade_judgments(
     remove = min(int(math.floor(fraction * m + 0.5)), m - 1)
     if remove == 0:
         return judgments
-    rng = np.random.default_rng(seed)
     ordered = sorted(judgments.relevant_ids)
-    drop_idx = rng.choice(m, size=remove, replace=False)
-    dropped = {ordered[i] for i in drop_idx}
+    dropped = {ordered[i] for i in _pcg64.choice(seed, m, remove)}
     return JudgmentSet(judgments.request_id, frozenset(judgments.relevant_ids - dropped))
 
 

@@ -45,8 +45,6 @@ def _load_runs(
     which is how retrieval-depth studies are driven on real collections. The
     files share one string per request and item id.
     """
-    if depth is not None and depth < 1:
-        raise ValidationError(f"depth must be positive, got {depth}")
     runs: dict[str, dict[str, object]] = {}
     ids: dict[str, str] = {}
     for path in paths:
@@ -74,8 +72,11 @@ def _load_collection(args) -> tuple[dict, dict[str, dict[str, object]], list[str
 
     Requests with no relevant item, ranked requests with no judgments and
     evaluable requests that a run does not rank are each reported once as a
-    warning. A collection with no evaluable request is an error.
+    warning. A collection with no evaluable request is an error, and so is a
+    ``--depth`` below 1, which is checked before any file is read.
     """
+    if args.depth is not None and args.depth < 1:
+        raise ValidationError(f"depth must be positive, got {args.depth}")
     judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
     runs = _load_runs(args.runs, args.corpus_size, args.depth)
     evaluable = sorted(q for q, j in judgments.items() if j.evaluable)
@@ -328,6 +329,8 @@ def cmd_orientation(args) -> int:
 
 
 def cmd_degrade(args) -> int:
+    if args.samples < 1:
+        raise ValidationError(f"samples must be positive, got {args.samples}")
     spellings = [f for f in map(str.strip, args.fractions.split(",")) if f]
     try:
         fractions = [float(f) for f in spellings]

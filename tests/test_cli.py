@@ -384,13 +384,17 @@ class TestDeterminismAndErrors:
         assert capsys.readouterr().err == f"error: line is not valid UTF-8 [{bad}:{line}]\n"
         assert not out.exists()
 
-    def test_bad_depth_fails_before_any_run_is_read(self, tmp_path, capsys):
+    def test_bad_depth_fails_before_any_run_is_read(self, tmp_path, capsys, caplog):
         empty = tmp_path / "empty.txt"
         empty.write_text("")
         out = tmp_path / "x.tsv"
-        assert run_cli(["eval", *data_args(out, runs=[empty]), "--depth", "0"]) == 1
-        assert capsys.readouterr().err == "error: depth must be positive, got 0\n"
-        assert not out.exists()
+        absent = data_args(out, runs=[tmp_path / "absent.txt"])
+        absent[absent.index("--qrels") + 1] = tmp_path / "absent-qrels.txt"
+        for argv in (data_args(out, runs=[empty]), absent):
+            assert run_cli(["eval", *argv, "--depth", "0"]) == 1
+            assert capsys.readouterr().err == "error: depth must be positive, got 0\n"
+            assert not caplog.records
+            assert not out.exists()
 
     def test_missing_output_directory_names_the_destination(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.tsv"
@@ -482,9 +486,11 @@ class TestDeterminismAndErrors:
              "comparison method 'AP' given more than once"),
             (["--method", "made-up"], "unknown metric 'made-up'"),
             (["--tolerance", "-1"], "tolerance must be a finite non-negative number, got -1.0"),
+            (["--samples", "0"], "samples must be positive, got 0"),
+            (["--samples", "-3"], "samples must be positive, got -3"),
         ],
         ids=["malformed-fraction", "fraction-range", "repeated-fraction", "fractions-print-alike",
-             "repeated-method", "unknown-method", "tolerance"],
+             "repeated-method", "unknown-method", "tolerance", "samples-zero", "samples-negative"],
     )
     def test_degrade_checks_flags_before_reading_files(
         self, tmp_path, capsys, caplog, flags, message
@@ -593,8 +599,10 @@ class TestImports:
          ["orientation", "--corpus-size", "1000", "--m-range", "1", "3"],
          ["eval", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS, "--corpus-size", "50"],
          ["compare", "--method", "lexirecall", "--runs", RUNS[0], "--runs", RUNS[1],
-          "--qrels", QRELS, "--corpus-size", "50"]],
-        ids=["import", "ties-analytic", "orientation", "eval", "compare-lexirecall"],
+          "--qrels", QRELS, "--corpus-size", "50"],
+         ["degrade", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS,
+          "--corpus-size", "50", "--samples", "2", "--fractions", "0,0.5"]],
+        ids=["import", "ties-analytic", "orientation", "eval", "compare-lexirecall", "degrade"],
     )
     def test_closed_forms_never_run_numpy(self, tmp_path, argv):
         code = "import lexirank.cli"

@@ -67,13 +67,17 @@ def _fixture_flags() -> list[str]:
 
 
 # The commands that run no numpy code, with the arguments of criterion 10 and
-# of COMMANDS. ``degrade`` draws its samples with numpy, so it is left out.
+# of COMMANDS.
 NUMPY_FREE_COMMANDS = {
     "eval.tsv": [
         "eval", *_fixture_flags(), "--metric", "AP", "--metric", "NDCG",
         "--metric", "recall@10", "--metric", "RPrecision", "--metric", "TSE",
     ],
     "compare.tsv": ["compare", *_fixture_flags(), "--method", "lexirecall"],
+    "degrade.tsv": [
+        "degrade", *_fixture_flags(), "--fractions", "0,0.5", "--samples", "2", "--seed", "7",
+        "--method", "lexirecall", "--method", "metric:AP",
+    ],
     "ties_analytic.json": [*COMMANDS["ties_analytic.json"], "--format", "json"],
     "orientation.json": [*COMMANDS["orientation.json"], "--format", "json"],
 }

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from lexirank import (
     ExposureModel,
+    JudgmentSet,
     MetricId,
     MetricKind,
     NormalizationModel,
@@ -24,6 +25,7 @@ from lexirank import (
     RelevantPositions,
     UserSubset,
     UtilityVector,
+    degrade_judgments,
     evaluate,
     holm_bonferroni,
     leximin_compare,
@@ -33,7 +35,8 @@ from lexirank import (
     tse_compare,
     user_utility,
 )
-from lexirank.errors import UnevaluableRequestError
+from lexirank import _pcg64
+from lexirank.errors import UnevaluableRequestError, ValidationError
 
 from conftest import CROSS_PYTHON_SCRIPT, interpreters_without_numpy, recall_level_form
 from rank_scenarios import contiguous_lift_case, retrieval_growth_case, swap_up_case
@@ -311,6 +314,55 @@ class TestLexirecallScan:
         x, y = pair
         assert lexirecall_compare(x, y) is bottom_up_lexirecall(x, y)
         assert lexirecall_compare(y, x) is bottom_up_lexirecall(y, x)
+
+
+def numpy_choice(seed: int, n: int, size: int) -> list[int]:
+    return np.random.default_rng(seed).choice(n, size=size, replace=False).tolist()
+
+
+class TestNumpyChoicePort:
+    """``_pcg64.choice`` draws what numpy's seeded ``Generator.choice`` draws,
+    in the same order; seeds past 2**128 exceed the four-word seed pool."""
+
+    @pytest.mark.parametrize("n", [2, 10000, 10001])
+    def test_equals_numpy_at_branch_edges(self, n):
+        # At n = 10001, size n // 50 is the largest Floyd draw and n // 50 + 1
+        # the smallest tail shuffle.
+        for size in (1, n // 50, n // 50 + 1, n - 1):
+            for seed in (0, 7, 2**64 - 1, 2**130 + 12345):
+                assert _pcg64.choice(seed, n, size) == numpy_choice(seed, n, size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.randoms(use_true_random=True))
+    def test_equals_numpy(self, rnd):
+        # Uniform draws, so that about half the cases take the tail shuffle;
+        # seeds of 1 to 5 words.
+        seed = rnd.getrandbits(26 * rnd.randint(1, 5))
+        n = rnd.randint(2, 20000)
+        size = rnd.randint(1, n)
+        assert _pcg64.choice(seed, n, size) == numpy_choice(seed, n, size)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.frozensets(st.integers(0, 10**6), min_size=1, max_size=400),
+        st.floats(0, 1, exclude_max=True),
+        st.integers(0, 2**64 - 1),
+    )
+    def test_degrade_judgments_equals_numpy_formula(self, ids, fraction, seed):
+        relevant = frozenset(f"d{i}" for i in ids)
+        m = len(relevant)
+        remove = min(math.floor(fraction * m + 0.5), m - 1)
+        ordered = sorted(relevant)
+        dropped = {ordered[i] for i in numpy_choice(seed, m, remove)}
+        degraded = degrade_judgments(JudgmentSet("q", relevant), fraction, seed)
+        assert degraded.relevant_ids == relevant - dropped
+
+    @pytest.mark.parametrize("seed,n,size", [(0, 2**32, 1), (-1, 10, 1), (0, 10, 11)])
+    def test_refuses_out_of_range_input(self, seed, n, size):
+        # 2**32 items are more than the 32-bit draw covers; numpy refuses
+        # the other two as well.
+        with pytest.raises(ValidationError):
+            _pcg64.choice(seed, n, size)
 
 
 def test_scores_identical_under_interpreters_without_numpy():
