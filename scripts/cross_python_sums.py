@@ -19,8 +19,10 @@ non-ASCII item ids and separators, blank lines) with ``io.parse_run_file``.
 Its rankings, and the rank-mismatch count its warning reports, must equal
 the reference's. So must the error, its type, message and line, for a copy
 of the file with one rank that ``int`` refuses three quarters of the way in;
-the message quotes ``int``'s own. It then parses the file and a second
-seeded file, which shares about a fifth of its item ids, with one ``ids``
+the message quotes ``int``'s own. It then parses the file, a second
+seeded file, which shares about a fifth of its item ids, and a third seeded
+file in the TREC layout (each request's lines together and in descending
+score order, a quarter of the requests with equal scores) with one ``ids``
 dict: the rankings must equal the reference's and each file's parse alone,
 and every equal request or item id must be one string.
 Metric labels are output too (the ``metric`` column), so each interpreter
@@ -61,6 +63,7 @@ METRICS = ("AP", "NDCG", "rbp:0.8", "RR", "recall@1000", "RPrecision", "TSE", "t
 RUN_FILE = "run.txt"
 MALFORMED_RUN_FILE = "malformed.txt"
 SECOND_RUN_FILE = "run2.txt"
+TREC_RUN_FILE = "trec.txt"
 RUN_LINES = 5000
 
 
@@ -86,15 +89,37 @@ def seeded_run_lines(seed: int) -> list[str]:
     return lines
 
 
+def seeded_trec_lines(seed: int) -> list[str]:
+    """The lines of a valid run file in the TREC layout: 40 requests of 1 to
+    200 lines each, written together with ranks 1, 2, ... in descending score
+    order. Every fourth request draws its scores from a few values, so they
+    tie, 0.0 and -0.0 left in drawn order; the others strictly decrease."""
+    rng = random.Random(seed)
+    lines = []
+    for q in range(40):
+        depth = rng.randint(1, 200)
+        if q % 4:
+            scores = [f"{v / 1e6:.6f}" for v in sorted(rng.sample(range(10**6), depth), reverse=True)]
+        else:
+            drawn = [rng.choice(["2", "1", "0.5", "0.0", "-0.0"]) for _ in range(depth)]
+            scores = sorted(drawn, key=float, reverse=True)
+        docs = rng.sample(range(RUN_LINES), depth)
+        lines += [f"q{q} Q0 d{doc} {rank} {score} trec\n"
+                  for rank, (doc, score) in enumerate(zip(docs, scores), start=1)]
+    return lines
+
+
 def write_run_files(parent: str) -> None:
     """The seeded run file; a copy with one line more, whose rank ``int``
-    refuses; and a second file from another seed, which names the same
-    requests and about a fifth of the first file's item ids."""
+    refuses; a second file from another seed, which names the same requests
+    and about a fifth of the first file's item ids; and a file in the TREC
+    layout, whose item ids are drawn from the first file's numbers."""
     lines = seeded_run_lines(SEED)
     Path(parent, RUN_FILE).write_text("".join(lines), encoding="utf-8")
     lines.insert(len(lines) * 3 // 4, "q7 Q0 d-bad 1e3 0.5 tag\n")
     Path(parent, MALFORMED_RUN_FILE).write_text("".join(lines), encoding="utf-8")
     Path(parent, SECOND_RUN_FILE).write_text("".join(seeded_run_lines(SEED + 1)), encoding="utf-8")
+    Path(parent, TREC_RUN_FILE).write_text("".join(seeded_trec_lines(SEED + 2)), encoding="utf-8")
 
 
 def rankings(runs) -> list:
@@ -102,10 +127,10 @@ def rankings(runs) -> list:
 
 
 def pooled_parse(io, work_dir: str) -> dict:
-    """Both valid files parsed with one ``ids`` dict: their rankings, how many
-    differ from parsing each file alone, and how many ids are held by a
+    """The three valid files parsed with one ``ids`` dict: their rankings, how
+    many differ from parsing each file alone, and how many ids are held by a
     string other than the first one seen with their text."""
-    paths = [os.path.join(work_dir, name) for name in (RUN_FILE, SECOND_RUN_FILE)]
+    paths = [os.path.join(work_dir, name) for name in (RUN_FILE, SECOND_RUN_FILE, TREC_RUN_FILE)]
     ids: dict[str, str] = {}
     pooled = [io.parse_run_file(path, CORPUS_SIZE, ids) for path in paths]
     alone = [io.parse_run_file(path, CORPUS_SIZE) for path in paths]
@@ -219,7 +244,7 @@ def ranking_differences(ref: list, got: list) -> int:
 def parse_differences(reference: dict, result: dict) -> int:
     """Requests of the run file ranked unlike the reference, one more for a
     different rank-mismatch warning, and one for a different error from the
-    malformed copy. Then, for the two files parsed with one ``ids`` dict,
+    malformed copy. Then, for the three files parsed with one ``ids`` dict,
     requests ranked unlike the reference, files ranked unlike their parse
     alone, and ids not shared."""
     ref, got = reference["parsed"], result["parsed"]

@@ -33,7 +33,6 @@ prefix of every longer stream with the same seed.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import operator
 from dataclasses import dataclass
@@ -416,7 +415,8 @@ def orientation(
 
 def stable_seed(*parts: int | str) -> int:
     """Deterministic 64-bit seed derived from mixed parts (process-stable)."""
-    h = hashlib.blake2b(digest_size=8)
+    from hashlib import blake2b  # loads OpenSSL; only seeded commands need it
+    h = blake2b(digest_size=8)
     for part in parts:
         h.update(str(part).encode("utf-8"))
         h.update(b"\x1f")

@@ -19,6 +19,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum, IntEnum
+from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
 
 from .errors import UnevaluableRequestError, ValidationError
@@ -285,7 +286,7 @@ def project_and_impute(
         raise ValidationError(f"{m} relevant items cannot fit in a corpus of {D}")
 
     relevant = judgments.relevant_ids
-    ranks = [rank for rank, item in enumerate(ranked_list.items, start=1) if item in relevant]
+    ranks = list(compress(count(1), map(relevant.__contains__, ranked_list.items)))
     missing = m - len(ranks)
     k = ranked_list.depth
 

@@ -11,24 +11,27 @@ Run files are parsed in bulk, in plain Python and without numpy. Each block
 of lines is split once, with every line end marked by a token of its own, so
 that one count shows whether every line has six fields; a block that fails
 it is split line by line, dropping blank lines. The columns are stride
-slices. Request and item ids go through a dict of the ids already read,
-which may span the files of a collection, so each id is held as one string
-however many lines name it: memory grows with the distinct ids, not with
-runs times requests times depth. Scores are converted with ``float``, and
-rank fields are compared as text with the positions and converted with
-``int`` only in a request where they differ. One stable sort groups the
-lines by request, and one per request orders it by score, with item ids
-breaking ties only where scores are equal. ``RankedList`` refuses a repeated
-item and a ranking longer than the corpus. Every way this can fail ends in
-one handler, which reads the file again with a check-only line loop that
-builds nothing and raises the error of the first bad line in file order. A
-file with no bad line can fail only for a ranking longer than the corpus,
-the one error without a line.
+slices. Every item id, and each request id once, goes through a dict of the
+ids already read, which may span the files of a collection, so each id is
+held as one string however many lines name it: memory grows with the
+distinct ids, not with runs times requests times depth. Scores are converted
+with ``float``, and rank fields are compared as text with the positions and
+converted with ``int`` only in a request where they differ. Run files are
+usually written as trec_eval reads them, each request's lines together in
+descending score order, so a request that is one run of lines with strictly
+decreasing scores is ranked as written: its ranking is a slice of the
+columns. If a request has two runs of lines, one stable sort groups the
+lines by request. A request not ranked as written is sorted by score, with
+item ids breaking ties only where scores are equal. ``RankedList`` refuses a
+repeated item and a ranking longer than the corpus. Every way this can fail
+ends in one handler, which reads the file again with a check-only line loop
+that builds nothing and raises the error of the first bad line in file
+order. A file with no bad line can fail only for a ranking longer than the
+corpus, the one error without a line.
 """
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 import operator
@@ -36,6 +39,7 @@ import os
 import re
 import stat
 from collections import Counter
+from itertools import chain, compress, count, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
 
@@ -81,10 +85,10 @@ def parse_run_file(
     line; the first in file order is reported. A ranking longer than
     ``corpus_size`` is a ``ValidationError``.
 
-    ``ids`` maps each request and item id to the one string kept for it, and
-    every id read goes through it; pass one dict to the files of a collection
-    so that their rankings share one string per id. ``None`` shares them
-    within this file only.
+    ``ids`` maps each request and item id to the one string kept for it.
+    Every item id read, and each request id once, goes through it; pass one
+    dict to the files of a collection so that their rankings share one
+    string per id. ``None`` shares them within this file only.
 
     One bulk parse builds the rankings (see the module docstring); when it
     fails, ``_raise_at_bad_line`` only names the line.
@@ -92,6 +96,7 @@ def parse_run_file(
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
     keep = (ids if ids is not None else {}).setdefault
+    same = {}.setdefault  # one string per request of this file
     requests: list[str] = []
     items: list[str] = []
     rank_texts: list[str] = []
@@ -110,34 +115,49 @@ def parse_run_file(
                     tag = tags[0]
                 if tags.count(tag) != len(tags):
                     raise ValueError("a second system tag")
-                requests += map(keep, tokens[0::7], tokens[0::7])
+                requests += map(same, tokens[0::7], tokens[0::7])
                 items += map(keep, tokens[2::7], tokens[2::7])
                 rank_texts += tokens[3::7]
                 scores += map(float, tokens[4::7])
         if not all(map(math.isfinite, scores)):
             raise ValueError("a non-finite score")
-        # Row indices grouped by request, requests in order of first appearance.
-        lines_per_request = Counter(requests)
-        code = dict(zip(lines_per_request, range(len(lines_per_request))))
-        order = sorted(range(len(requests)), key=list(map(code.__getitem__, requests)).__getitem__)
+        groups = _runs_of_lines(requests)
+        if groups is None:
+            # Requests interleaved: row indices grouped by request, requests
+            # in order of first appearance.
+            lines_per_request = Counter(requests)
+            code = dict(zip(lines_per_request, range(len(lines_per_request))))
+            order = sorted(range(len(requests)), key=list(map(code.__getitem__, requests)).__getitem__)
+            groups, hi = {}, 0
+            for request_id, lines in lines_per_request.items():
+                lo, hi = hi, hi + lines
+                groups[request_id] = order[lo:hi]
         # The rank fields of a request that agree with its order, as usually written.
-        numerals = list(map(str, range(1, max(lines_per_request.values(), default=0) + 1)))
-        hi = 0
-        for request_id, count in lines_per_request.items():
-            lo, hi = hi, hi + count
-            rows = order[lo:hi]
-            rows.sort(key=scores.__getitem__, reverse=True)
-            ranked_scores = list(map(scores.__getitem__, rows))
-            if any(map(operator.eq, ranked_scores, ranked_scores[1:])):
-                # Equal scores, left in file order by the stable sort: order
-                # by item id, then again by score.
-                rows.sort(key=items.__getitem__)
+        numerals = list(map(str, range(1, max(map(len, groups.values()), default=0) + 1)))
+        for request_id, rows in groups.items():
+            depth = len(rows)
+            # A range is one run of lines; a list of rows gets the empty span.
+            lo, hi = (rows.start, rows.stop) if type(rows) is range else (0, 0)
+            if hi and all(map(operator.gt, scores[lo:hi], scores[lo + 1 : hi])):
+                # One run of lines with strictly decreasing scores, as usually
+                # written: the file order is the ranking.
+                ranked_texts = rank_texts[lo:hi]
+                ranked = tuple(items[lo:hi])
+            else:
+                rows = list(rows)
                 rows.sort(key=scores.__getitem__, reverse=True)
-            ranked_texts = list(map(rank_texts.__getitem__, rows))
-            if ranked_texts != numerals[:count]:  # int() also rejects a bad rank
-                positions = range(1, count + 1)
+                ranked_scores = list(map(scores.__getitem__, rows))
+                if any(map(operator.eq, ranked_scores, ranked_scores[1:])):
+                    # Equal scores, left in file order by the stable sort:
+                    # order by item id, then again by score.
+                    rows.sort(key=items.__getitem__)
+                    rows.sort(key=scores.__getitem__, reverse=True)
+                ranked_texts = list(map(rank_texts.__getitem__, rows))
+                ranked = tuple(map(items.__getitem__, rows))
+            if ranked_texts != numerals[:depth]:  # int() also rejects a bad rank
+                positions = range(1, depth + 1)
                 rank_mismatches += sum(map(operator.ne, map(int, ranked_texts), positions))
-            ranked = tuple(map(items.__getitem__, rows))
+            request_id = keep(request_id, request_id)
             runs[request_id] = RankedList(request_id, ranked, corpus_size, tag)
     except (ValueError, ValidationError):  # UnicodeDecodeError is a ValueError
         _raise_at_bad_line(path)
@@ -149,6 +169,21 @@ def parse_run_file(
             rank_mismatches,
         )
     return runs
+
+
+def _runs_of_lines(requests: list[str]) -> dict[str, range] | None:
+    """Each request's rows as one span, or ``None`` once a request starts a
+    second run of lines. ``requests`` holds one string object per request, so
+    a run ends where the object changes; the appended ``None`` ends the last."""
+    ends = compress(count(1), map(operator.is_not, requests, chain(islice(requests, 1, None), [None])))
+    spans = {}
+    lo = 0
+    for hi in ends:
+        if requests[lo] in spans:
+            return None
+        spans[requests[lo]] = range(lo, hi)
+        lo = hi
+    return spans
 
 
 def _block_fields(text: str) -> list[str]:
@@ -306,6 +341,7 @@ def _write_rows(
         fh.write("\t".join(columns) + "\n")
         fh.writelines(map("{}\n".format, lines))
     else:
+        import json  # only the JSON format needs it
         payload = [{c: row[c] for c in columns} for row in materialized]
         json.dump(payload, fh, indent=2, sort_keys=False)
         fh.write("\n")

@@ -396,6 +396,16 @@ class TestDeterminismAndErrors:
             assert not caplog.records
             assert not out.exists()
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-only"])
+    @pytest.mark.parametrize("command", [["eval"], ["compare", "--method", "lexirecall"], ["degrade"]])
+    def test_empty_run_file_fails_with_its_path(self, tmp_path, capsys, text, command):
+        empty = tmp_path / "empty.txt"
+        empty.write_text(text)
+        out = tmp_path / "x.tsv"
+        assert run_cli([*command, *data_args(out, runs=[RUNS[0], empty])]) == 1
+        assert capsys.readouterr().err == f"error: run file {empty} is empty\n"
+        assert not out.exists()
+
     def test_missing_output_directory_names_the_destination(self, tmp_path, capsys):
         out = tmp_path / "absent" / "x.tsv"
         assert run_cli(["eval", *data_args(out)]) == 1
@@ -592,24 +602,42 @@ def _modules_after(code):
     return set(proc.stdout.split())
 
 
+def _main_code(argv, out) -> str:
+    """``import lexirank.cli``, then ``argv`` run to success when it is not empty."""
+    code = "import lexirank.cli"
+    if argv:
+        code += f"\nassert lexirank.cli.main({[*argv, '--out', str(out)]!r}) == 0"
+    return code
+
+
+_TIES_ANALYTIC = ["ties", "--mode", "analytic", "--corpus-size", "1000000", "--m-range", "1", "4"]
+_EVAL = ["eval", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS, "--corpus-size", "50"]
+_COMPARE_LEXIRECALL = ["compare", "--method", "lexirecall", *_EVAL[1:]]
+
+
 class TestImports:
     @pytest.mark.parametrize(
         "argv",
-        [[], ["ties", "--mode", "analytic", "--corpus-size", "1000000", "--m-range", "1", "4"],
+        [[], _TIES_ANALYTIC,
          ["orientation", "--corpus-size", "1000", "--m-range", "1", "3"],
-         ["eval", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS, "--corpus-size", "50"],
-         ["compare", "--method", "lexirecall", "--runs", RUNS[0], "--runs", RUNS[1],
-          "--qrels", QRELS, "--corpus-size", "50"],
-         ["degrade", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS,
-          "--corpus-size", "50", "--samples", "2", "--fractions", "0,0.5"]],
+         _EVAL,
+         _COMPARE_LEXIRECALL,
+         ["degrade", *_EVAL[1:], "--samples", "2", "--fractions", "0,0.5"]],
         ids=["import", "ties-analytic", "orientation", "eval", "compare-lexirecall", "degrade"],
     )
     def test_closed_forms_never_run_numpy(self, tmp_path, argv):
-        code = "import lexirank.cli"
-        if argv:
-            code += f"\nassert lexirank.cli.main({[*argv, '--out', str(tmp_path / 'x.tsv')]!r}) == 0"
-        loaded = _modules_after(code)
+        loaded = _modules_after(_main_code(argv, tmp_path / "x.tsv"))
         assert not {name for name in loaded if name.startswith("numpy.")}
+
+    @pytest.mark.parametrize(
+        "argv", [_EVAL, _COMPARE_LEXIRECALL, _TIES_ANALYTIC],
+        ids=["eval", "compare-lexirecall", "ties-analytic"],
+    )
+    def test_unseeded_tsv_commands_load_no_hashlib_or_json(self, tmp_path, argv):
+        # OpenSSL's _hashlib costs each process a few MB; only seeded
+        # commands need it, and only JSON output needs json.
+        loaded = _modules_after(_main_code(argv, tmp_path / "x.tsv"))
+        assert not {"_hashlib", "json"} & (loaded - _modules_after("pass"))
 
     def test_missing_numpy_fails_only_where_it_is_used(self, tmp_path):
         # find_spec stands in for an interpreter without numpy.

@@ -122,6 +122,28 @@ class TestProjection:
                 make_judgments({"d1"}, request_id="q2"),
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), D=st.integers(1, 40), mode=st.sampled_from(Imputation))
+    def test_matches_the_rank_comprehension(self, data, D, mode):
+        # Retrieved relevant ranks by an enumerate comprehension, then the
+        # imputed tail of each mode: the reference for the scan.
+        ids = [f"d{i}" for i in data.draw(st.permutations(range(D)))]
+        k = data.draw(st.integers(1, D))  # a ranking holds at least one item
+        items, unretrieved = ids[:k], ids[k:]
+        found = data.draw(st.sets(st.sampled_from(items), max_size=k))
+        missing = data.draw(st.integers(0 if found else 1, D - k)) if k < D else 0
+        relevant = found | set(unretrieved[:missing])
+        if not relevant:  # a full ranking with no relevant item draws no judgment set
+            relevant = {items[-1]}
+        ranks = [rank for rank, item in enumerate(items, start=1) if item in relevant]
+        tail = len(relevant) - len(ranks)
+        if mode is Imputation.PESSIMISTIC:
+            expected = RelevantPositions.worst_case(len(relevant), D, ranks)
+        else:
+            expected = RelevantPositions((*ranks, *range(k + 1, k + tail + 1)), D)
+        got = project_and_impute(make_ranking(items, D), make_judgments(relevant), mode)
+        assert got.positions == expected.positions
+
 
 
 class TestProjectRuns:

@@ -104,6 +104,12 @@ class TestParseRunFile:
         assert (err.value.path, err.value.line) == (str(path), 2)
         assert "UTF-8" in str(err.value)
 
+    @pytest.mark.parametrize("text", ["", "\n  \n\t\n"], ids=["empty", "blank-only"])
+    def test_empty_and_blank_only_files_hold_no_ranking(self, tmp_path, text):
+        path = tmp_path / "run.txt"
+        path.write_text(text)
+        assert parse_run_file(path, corpus_size=10) == {}
+
     def test_reserialization_preserves_order(self, tmp_path):
         original = parse_run_file(FIXTURES / "run_a.txt", corpus_size=50)
         rewritten = tmp_path / "copy.txt"
@@ -154,6 +160,33 @@ def _run_lines(draw, ascii_only: bool) -> list[list[str]]:
         [request, "Q0", item, draw(st.sampled_from(_RANKS)), draw(st.sampled_from(_SCORES)), "tg"]
         for request, item in keys
     ]
+
+
+# Line orders that the parser treats differently: as drawn (requests
+# interleaved); grouped by request in order of first appearance; grouped and
+# sorted by descending score, equal scores (0.0 and -0.0 among them) left in
+# drawn order, so that a request without ties is already ranked; and grouped
+# and sorted with one request split into two runs of lines.
+_ARRANGEMENTS = ["drawn", "grouped", "score-sorted", "split"]
+
+
+def _arrange(draw, rows: list[list[str]], arrangement: str) -> list[list[str]]:
+    """The lines of a valid run file in one of the ``_ARRANGEMENTS``."""
+    if arrangement == "drawn":
+        return rows
+    first = {}
+    for fields in rows:
+        first.setdefault(fields[0], len(first))
+    if arrangement == "grouped":
+        return sorted(rows, key=lambda fields: first[fields[0]])
+    rows = sorted(rows, key=lambda fields: (first[fields[0]], -float(fields[4])))
+    splittable = [q for q in first if sum(fields[0] == q for fields in rows) > 1]
+    if arrangement == "score-sorted" or len(first) < 2 or not splittable:
+        return rows
+    request = draw(st.sampled_from(splittable))
+    own = [fields for fields in rows if fields[0] == request]
+    cut = draw(st.integers(1, len(own) - 1))
+    return own[:cut] + [fields for fields in rows if fields[0] != request] + own[cut:]
 
 
 @st.composite
@@ -309,9 +342,14 @@ class TestBulkParserMatchesLineLoop:
     """``parse_run_file`` against the line loop: rankings, warnings and errors."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data(), ascii_only=st.booleans(), block=st.sampled_from(_BLOCK_SIZES))
-    def test_valid_files(self, tmp_path_factory, data, ascii_only, block):
-        rows = data.draw(_run_lines(ascii_only))
+    @given(
+        data=st.data(),
+        ascii_only=st.booleans(),
+        block=st.sampled_from(_BLOCK_SIZES),
+        arrangement=st.sampled_from(_ARRANGEMENTS),
+    )
+    def test_valid_files(self, tmp_path_factory, data, ascii_only, block, arrangement):
+        rows = _arrange(data.draw, data.draw(_run_lines(ascii_only)), arrangement)
         path = tmp_path_factory.mktemp("bulk") / "run.txt"
         path.write_bytes(data.draw(_layout(rows, ascii_only)))
         # Non-ASCII text and blank lines never send a valid file to the check loop.
@@ -321,9 +359,14 @@ class TestBulkParserMatchesLineLoop:
             assert _outcome(parse_run_file, path, 100) == _outcome(_line_loop, path, 100)
 
     @settings(max_examples=200, deadline=None)
-    @given(data=st.data(), block=st.sampled_from(_BLOCK_SIZES))
-    def test_malformed_files(self, tmp_path_factory, data, block):
-        rows, corpus_size = _break(data.draw, data.draw(_run_lines(ascii_only=True)))
+    @given(
+        data=st.data(),
+        block=st.sampled_from(_BLOCK_SIZES),
+        arrangement=st.sampled_from(_ARRANGEMENTS),
+    )
+    def test_malformed_files(self, tmp_path_factory, data, block, arrangement):
+        rows = _arrange(data.draw, data.draw(_run_lines(ascii_only=True)), arrangement)
+        rows, corpus_size = _break(data.draw, rows)
         path = tmp_path_factory.mktemp("bulk") / "run.txt"
         path.write_bytes(data.draw(_layout(rows)))
         with mock.patch.object(lexirank.io, "_BLOCK_CHARS", block):
@@ -367,13 +410,13 @@ class TestSharedIds:
     @given(
         data=st.data(),
         files=st.integers(2, 4),
-        grouped=st.booleans(),
+        arrangement=st.sampled_from(_ARRANGEMENTS),
         disjoint=st.booleans(),
         broken=st.none() | st.integers(0, 3),
         block=st.sampled_from(_BLOCK_SIZES),
     )
     def test_shared_ids_parse_as_each_file_alone(
-        self, tmp_path_factory, data, files, grouped, disjoint, broken, block
+        self, tmp_path_factory, data, files, arrangement, disjoint, broken, block
     ):
         directory = tmp_path_factory.mktemp("shared")
         paths = []
@@ -381,8 +424,7 @@ class TestSharedIds:
             rows = data.draw(_run_lines(ascii_only=True))
             if disjoint:
                 rows = [[*fields[:2], f"{fields[2]}-{index}", *fields[3:]] for fields in rows]
-            if grouped:
-                rows.sort(key=lambda fields: fields[0])
+            rows = _arrange(data.draw, rows, arrangement)
             corpus_size = 100
             if index == broken:
                 rows, corpus_size = _break(data.draw, rows)
