@@ -35,47 +35,40 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from . import _pcg64
 from ._numpy import np
-from .core import Imputation, JudgmentSet, Preference, RankedList, RelevantPositions, project_runs
+from .core import (
+    Imputation, JudgmentSet, Preference, RankedList, Record, RelevantPositions, project_runs,
+)
 from .errors import UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, MetricKind, evaluate
 from .prefs import DEFAULT_TOLERANCE, PreferenceFn, make_method, metric_compare
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
+class SimulationConfig(Record):
     """Settings for one batch of simulated ranking pairs."""
 
-    corpus_size: int
-    m_range: tuple[int, int]
-    pair_count: int
-    retrieval_depth: int | None = None
-    seed: int = 0
+    __slots__ = ("corpus_size", "m_range", "pair_count", "retrieval_depth", "seed")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, corpus_size: int, m_range: tuple[int, int], pair_count: int,
+        retrieval_depth: int | None = None, seed: int = 0,
+    ) -> None:
         try:
-            D = operator.index(self.corpus_size)
-            lo, hi = map(operator.index, self.m_range)
-            pair_count = operator.index(self.pair_count)
-            seed = operator.index(self.seed)
-            depth = self.retrieval_depth
+            D = operator.index(corpus_size)
+            lo, hi = map(operator.index, m_range)
+            pair_count = operator.index(pair_count)
+            seed = operator.index(seed)
+            depth = retrieval_depth
             if depth is not None:
                 depth = operator.index(depth)
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ValidationError(f"simulation sizes and seed must be integers: {exc}") from None
-        for name, value in (
-            ("corpus_size", D), ("m_range", (lo, hi)), ("pair_count", pair_count),
-            ("retrieval_depth", depth), ("seed", seed),
-        ):
-            object.__setattr__(self, name, value)
         if not 1 <= lo <= hi <= D:
             raise ValidationError(
-                f"m_range {self.m_range} must satisfy 1 <= lo <= hi <= D={D}"
+                f"m_range {(lo, hi)} must satisfy 1 <= lo <= hi <= D={D}"
             )
         if pair_count < 1:
             raise ValidationError(f"pair_count must be positive, got {pair_count}")
@@ -83,6 +76,11 @@ class SimulationConfig:
             raise ValidationError(f"retrieval depth {depth} outside [1, {D}]")
         if seed < 0:
             raise ValidationError(f"seed must be non-negative, got {seed}")
+        object.__setattr__(self, "corpus_size", D)
+        object.__setattr__(self, "m_range", (lo, hi))
+        object.__setattr__(self, "pair_count", pair_count)
+        object.__setattr__(self, "retrieval_depth", depth)
+        object.__setattr__(self, "seed", seed)
 
 
 _TIE_METRIC_NAMES = ("recall@k", "lexirecall")
@@ -445,6 +443,8 @@ def degrade_judgments(
     remove = min(int(math.floor(fraction * m + 0.5)), m - 1)
     if remove == 0:
         return judgments
+    from . import _pcg64  # only degrade draws labels
+
     ordered = sorted(judgments.relevant_ids)
     dropped = {ordered[i] for i in _pcg64.choice(seed, m, remove)}
     return JudgmentSet(judgments.request_id, frozenset(judgments.relevant_ids - dropped))

@@ -14,7 +14,6 @@ as one ``warning: `` line on stderr.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import logging
 import math
 import sys
@@ -53,7 +52,7 @@ def _load_runs(
             raise ValidationError(f"run file {path} is empty")
         if depth is not None:
             parsed = {
-                request_id: dataclasses.replace(ranked, items=ranked.items[:depth])
+                request_id: ranked._replace(items=ranked.items[:depth])
                 for request_id, ranked in parsed.items()
             }
         tag = next(iter(parsed.values())).system_tag or Path(path).stem

@@ -9,7 +9,8 @@ corpus) or optimistically (directly below the retrieved prefix), one request
 and run at a time (:func:`project_and_impute`) or for a whole collection
 (:func:`project_runs`).
 
-All types are immutable after construction and all functions are pure.
+All types are immutable after construction and all functions are pure. The
+value types here and in the other modules derive from :class:`Record`.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum, IntEnum
 from itertools import compress, count
 from typing import Iterable, Mapping, Sequence
@@ -32,8 +32,69 @@ class Imputation(str, Enum):
     OPTIMISTIC = "optimistic"
 
 
-@dataclass(frozen=True)
-class RankedList:
+class Record:
+    """Base of the immutable value types, defined on their fields only.
+
+    A subclass names its fields in ``__slots__``, in the order its
+    ``__init__`` takes them, and its ``__init__`` checks its arguments and
+    stores each field with ``object.__setattr__``. A slot whose name starts
+    with ``_`` is private state, not a field. Equality, hash, ``repr`` and
+    pickling follow the fields, and ``_fields`` and ``_replace`` work as on a
+    namedtuple.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
+        cls.__match_args__ = cls._fields
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def _replace(self, **changes):
+        """A copy with ``changes`` applied, checked as a new value is."""
+        return type(self)(**dict(zip(self._fields, self._values()), **changes))
+
+
+def _integer(value, name: str) -> int:
+    """``operator.index(value)``; a non-integer is a ``ValidationError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError as exc:
+        raise ValidationError(f"{name} must be an integer: {exc}") from None
+
+
+def _ids(values: Iterable[str], what: str) -> Iterable[str]:
+    """``values``, unless it is one string that would read as its characters."""
+    if isinstance(values, str):
+        raise ValidationError(f"{what} must be a collection of ids, not the string {values!r}")
+    return values
+
+
+class RankedList(Record):
     """One system's ordered item ids for a request, top first.
 
     ``corpus_size`` is the total number of rankable items and is always an
@@ -41,33 +102,36 @@ class RankedList:
     depends on it.
     """
 
-    request_id: str
-    items: tuple[str, ...]
-    corpus_size: int
-    system_tag: str | None = None
+    __slots__ = ("request_id", "items", "corpus_size", "system_tag")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "items", tuple(self.items))
-        if self.corpus_size < 1:
-            raise ValidationError(f"corpus_size must be positive, got {self.corpus_size}")
-        k = len(self.items)
+    def __init__(
+        self, request_id: str, items: Iterable[str], corpus_size: int, system_tag: str | None = None
+    ) -> None:
+        items = tuple(_ids(items, f"ranking for {request_id!r}"))
+        corpus_size = _integer(corpus_size, "corpus_size")
+        if corpus_size < 1:
+            raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
+        k = len(items)
         if k < 1:
-            raise ValidationError(f"ranking for {self.request_id!r} is empty")
-        if k > self.corpus_size:
+            raise ValidationError(f"ranking for {request_id!r} is empty")
+        if k > corpus_size:
             raise ValidationError(
-                f"ranking for {self.request_id!r} has {k} items, "
-                f"more than corpus_size {self.corpus_size}"
+                f"ranking for {request_id!r} has {k} items, "
+                f"more than corpus_size {corpus_size}"
             )
-        if len(set(self.items)) != k:
-            raise ValidationError(f"ranking for {self.request_id!r} contains duplicate items")
+        if len(set(items)) != k:
+            raise ValidationError(f"ranking for {request_id!r} contains duplicate items")
+        object.__setattr__(self, "request_id", request_id)
+        object.__setattr__(self, "items", items)
+        object.__setattr__(self, "corpus_size", corpus_size)
+        object.__setattr__(self, "system_tag", system_tag)
 
     @property
     def depth(self) -> int:
         return len(self.items)
 
 
-@dataclass(frozen=True)
-class JudgmentSet:
+class JudgmentSet(Record):
     """The set of items judged relevant for a request.
 
     An empty set is representable (it happens with strict binarization
@@ -75,11 +139,12 @@ class JudgmentSet:
     callers; :func:`project_and_impute` raises on them.
     """
 
-    request_id: str
-    relevant_ids: frozenset[str]
+    __slots__ = ("request_id", "relevant_ids")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "relevant_ids", frozenset(self.relevant_ids))
+    def __init__(self, request_id: str, relevant_ids: Iterable[str]) -> None:
+        relevant = frozenset(_ids(relevant_ids, f"relevant ids of {request_id!r}"))
+        object.__setattr__(self, "request_id", request_id)
+        object.__setattr__(self, "relevant_ids", relevant)
 
     @property
     def m(self) -> int:
@@ -90,36 +155,31 @@ class JudgmentSet:
         return self.m > 0
 
 
-@dataclass(frozen=True)
-class RelevantPositions:
+class RelevantPositions(Record):
     """Sorted 1-based positions of the relevant items in one ranking of a corpus of D."""
 
-    positions: tuple[int, ...]
-    corpus_size: int
+    # _score: the last (metric, value) that metrics.evaluate computed; not a
+    # field, so equality, hash, repr, pickles and copies never see it.
+    __slots__ = ("positions", "corpus_size", "_score")
 
-    def __post_init__(self) -> None:
+    def __init__(self, positions: Iterable[int], corpus_size: int) -> None:
         try:
-            pos = tuple(map(operator.index, self.positions))
+            pos = tuple(map(operator.index, positions))
         except TypeError as exc:
             raise ValidationError(f"positions must be integers: {exc}") from None
         try:
-            D = operator.index(self.corpus_size)
+            D = operator.index(corpus_size)
         except TypeError as exc:
             raise ValidationError(f"corpus_size must be an integer: {exc}") from None
-        object.__setattr__(self, "positions", pos)
-        object.__setattr__(self, "corpus_size", D)
         if D < 1:
             raise ValidationError(f"corpus_size must be positive, got {D}")
         if pos and not (pos[0] > 0 and all(map(operator.lt, pos, pos[1:]))):
             raise ValidationError(f"positions must be strictly increasing, got {pos}")
         if pos and pos[-1] > D:
             raise ValidationError(f"last position {pos[-1]} exceeds corpus_size {D}")
-        # The last (metric, value) that metrics.evaluate computed; not a field.
+        object.__setattr__(self, "positions", pos)
+        object.__setattr__(self, "corpus_size", D)
         object.__setattr__(self, "_score", None)
-
-    def __reduce__(self):
-        # Pickles and copies carry the fields only, never the stored score.
-        return type(self), (self.positions, self.corpus_size)
 
     @property
     def m(self) -> int:
@@ -176,8 +236,7 @@ class ExposureKind(str, Enum):
     LINEAR = "linear"
 
 
-@dataclass(frozen=True)
-class ExposureModel:
+class ExposureModel(Record):
     """Strictly decreasing position discount.
 
     Four families: ``reciprocal`` 1/i, ``log2`` 1/log2(i+1), ``geometric``
@@ -187,17 +246,22 @@ class ExposureModel:
     there.
     """
 
-    kind: ExposureKind
-    gamma: float | None = None
-    corpus_size: int | None = None
+    __slots__ = ("kind", "gamma", "corpus_size")
 
-    def __post_init__(self) -> None:
-        if self.kind is ExposureKind.GEOMETRIC:
-            if self.gamma is None or not 0.0 < self.gamma < 1.0:
-                raise ValidationError(f"geometric exposure needs gamma in (0,1), got {self.gamma}")
-        if self.kind is ExposureKind.LINEAR:
-            if self.corpus_size is None or self.corpus_size < 1:
+    def __init__(
+        self, kind: ExposureKind, gamma: float | None = None, corpus_size: int | None = None
+    ) -> None:
+        if kind is ExposureKind.GEOMETRIC:
+            if gamma is None or not 0.0 < gamma < 1.0:
+                raise ValidationError(f"geometric exposure needs gamma in (0,1), got {gamma}")
+        if corpus_size is not None:
+            corpus_size = _integer(corpus_size, "corpus_size")
+        if kind is ExposureKind.LINEAR:
+            if corpus_size is None or corpus_size < 1:
                 raise ValidationError("linear exposure needs a positive corpus_size")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "corpus_size", corpus_size)
 
     @classmethod
     def reciprocal(cls) -> "ExposureModel":

@@ -24,12 +24,11 @@ from __future__ import annotations
 import math
 import operator
 from bisect import bisect_right
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 
-from .core import ExposureModel, RelevantPositions, parameter_label
+from .core import ExposureModel, Record, RelevantPositions, parameter_label
 from .errors import UnevaluableRequestError, ValidationError
 
 
@@ -53,15 +52,15 @@ _NORMALIZATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class NormalizationModel:
+class NormalizationModel(Record):
     """Per-recall-level weight N(i, m), non-negative; ``kind`` names it."""
 
-    kind: str
+    __slots__ = ("kind",)
 
-    def __post_init__(self) -> None:
-        if self.kind not in _NORMALIZATIONS:
-            raise ValidationError(f"unknown normalization {self.kind!r}")
+    def __init__(self, kind: str) -> None:
+        if kind not in _NORMALIZATIONS:
+            raise ValidationError(f"unknown normalization {kind!r}")
+        object.__setattr__(self, "kind", kind)
 
     def weight(self, i: int, m: int) -> float:
         if not 1 <= i <= m:
@@ -150,35 +149,38 @@ def _parameter(convert, value: str, text: str):
         raise ValidationError(f"bad parameter {value!r} in metric {text!r}") from None
 
 
-@dataclass(frozen=True)
-class MetricId:
+class MetricId(Record):
     """Identifier for a concrete metric instance, parameters included."""
 
-    kind: MetricKind
-    gamma: float | None = None
-    k: int | None = None
-    epsilon: Fraction | None = None
-    exposure: ExposureModel | None = None
+    __slots__ = ("kind", "gamma", "k", "epsilon", "exposure")
 
-    def __post_init__(self) -> None:
-        if self.kind is MetricKind.RBP:
-            g = self.gamma if self.gamma is not None else _DEFAULT_GAMMA
-            if not 0.0 < g < 1.0:
-                raise ValidationError(f"RBP gamma must lie in (0,1), got {g}")
-            object.__setattr__(self, "gamma", g)
-        if self.kind is MetricKind.RECALL_AT_K:
+    def __init__(
+        self, kind: MetricKind, gamma: float | None = None, k: int | None = None,
+        epsilon: Fraction | float | None = None, exposure: ExposureModel | None = None,
+    ) -> None:
+        if kind is MetricKind.RBP:
+            if gamma is None:
+                gamma = _DEFAULT_GAMMA
+            if not 0.0 < gamma < 1.0:
+                raise ValidationError(f"RBP gamma must lie in (0,1), got {gamma}")
+        if kind is MetricKind.RECALL_AT_K and k is None:
+            k = _DEFAULT_K
+        if k is not None:
             try:
-                k = operator.index(self.k) if self.k is not None else _DEFAULT_K
+                k = operator.index(k)
             except TypeError as exc:
                 raise ValidationError(f"recall@k needs an integer k: {exc}") from None
-            if k < 1:
+            if kind is MetricKind.RECALL_AT_K and k < 1:
                 raise ValidationError(f"recall@k needs k >= 1, got {k}")
-            object.__setattr__(self, "k", k)
-        if self.kind is MetricKind.METRIC_LEXIRECALL:
-            eps = _epsilon(self.epsilon) if self.epsilon is not None else _DEFAULT_EPSILON
-            object.__setattr__(self, "epsilon", eps)
-        if self.kind is MetricKind.TSE and self.exposure is None:
-            object.__setattr__(self, "exposure", ExposureModel.reciprocal())
+        if kind is MetricKind.METRIC_LEXIRECALL:
+            epsilon = _epsilon(epsilon) if epsilon is not None else _DEFAULT_EPSILON
+        if kind is MetricKind.TSE and exposure is None:
+            exposure = ExposureModel.reciprocal()
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "gamma", gamma)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "exposure", exposure)
 
     @classmethod
     def ap(cls) -> "MetricId":

@@ -15,30 +15,28 @@ Four comparison routes with increasing resolution:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .core import Preference, RelevantPositions
+from .core import Preference, Record, RelevantPositions
 from .errors import ValidationError
 from .metrics import MetricId, MetricKind, evaluate, metric_lexirecall
 
 DEFAULT_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
-class UtilityVector:
+class UtilityVector(Record):
     """Utility values sorted in decreasing order."""
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(self.values))
-        vals = self.values
+    def __init__(self, values: Sequence[float]) -> None:
+        vals = tuple(values)
         if any(v < 0 for v in vals):
             raise ValidationError("utilities must be non-negative")
         if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):
             raise ValidationError("utilities must be sorted in decreasing order")
+        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_values(cls, values: Sequence[float]) -> "UtilityVector":

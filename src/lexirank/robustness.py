@@ -21,13 +21,12 @@ parallel schedule a caller might choose.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from ._numpy import np
-from .core import ExposureModel, RelevantPositions
+from .core import ExposureModel, Record, RelevantPositions
 from .errors import EnumerationBudgetError, ValidationError
 from .metrics import NormalizationModel
 
@@ -35,22 +34,21 @@ _SUBSET_M_CAP = 20
 _ARRANGEMENT_M_CAP = 8
 
 
-@dataclass(frozen=True)
-class UserSubset:
+class UserSubset(Record):
     """A population member, identified by the recall levels it cares about."""
 
-    levels: tuple[int, ...]
+    __slots__ = ("levels",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, levels: Iterable[int]) -> None:
         try:
-            lv = tuple(map(operator.index, self.levels))
+            lv = tuple(map(operator.index, levels))
         except TypeError as exc:
             raise ValidationError(f"levels must be integers: {exc}") from None
-        object.__setattr__(self, "levels", lv)
         if not lv:
             raise ValidationError("a user must care about at least one relevant item")
         if not (lv[0] > 0 and all(map(operator.lt, lv, lv[1:]))):
             raise ValidationError(f"levels must be strictly increasing and 1-based, got {lv}")
+        object.__setattr__(self, "levels", lv)
 
     def __len__(self) -> int:
         return len(self.levels)

@@ -1,6 +1,5 @@
 """Tie combinatorics vs enumeration, simulator determinism, orientation, degradation."""
 
-import dataclasses
 import math
 import tracemalloc
 from collections import Counter
@@ -253,7 +252,7 @@ class TestSimulatePairs:
     def test_truncation_is_worst_case_of_the_untruncated_stream(self, config, data):
         D = config.corpus_size
         depth = data.draw(st.integers(1, D), label="depth")
-        truncated = dataclasses.replace(config, retrieval_depth=depth)
+        truncated = config._replace(retrieval_depth=depth)
         for (tx, ty, tm), (ux, uy, um) in zip(
             simulate_pairs(truncated), simulate_pairs(config), strict=True
         ):
@@ -272,7 +271,7 @@ class TestSimulatePairs:
             label="longer",
         )
         short = list(simulate_pairs(config))
-        long = list(simulate_pairs(dataclasses.replace(config, pair_count=longer)))
+        long = list(simulate_pairs(config._replace(pair_count=longer)))
         assert long[: config.pair_count] == short
 
     def test_prefix_across_a_chunk_boundary(self):
@@ -280,7 +279,7 @@ class TestSimulatePairs:
             corpus_size=200, m_range=(1, 30), pair_count=_CHUNK_PAIRS - 3,
             retrieval_depth=40, seed=21,
         )
-        longer = dataclasses.replace(config, pair_count=2 * _CHUNK_PAIRS + 7)
+        longer = config._replace(pair_count=2 * _CHUNK_PAIRS + 7)
         short = list(simulate_pairs(config))
         assert list(simulate_pairs(longer))[: len(short)] == short
 
@@ -293,7 +292,7 @@ class TestSimulatePairs:
         )
         assert analytics._chunk_pairs(config) == 8
         short = list(simulate_pairs(config))
-        longer = list(simulate_pairs(dataclasses.replace(config, pair_count=30)))
+        longer = list(simulate_pairs(config._replace(pair_count=30)))
         assert len(short) == 13 and longer[:13] == short
 
     def test_bottom_vectors_share_one_object_per_m(self):

@@ -639,6 +639,17 @@ class TestImports:
         loaded = _modules_after(_main_code(argv, tmp_path / "x.tsv"))
         assert not {"_hashlib", "json"} & (loaded - _modules_after("pass"))
 
+    @pytest.mark.parametrize(
+        "argv", [[], _EVAL, _TIES_ANALYTIC], ids=["import", "eval", "ties-analytic"]
+    )
+    def test_value_types_and_label_free_commands_load_no_dataclasses_or_sampler(
+        self, tmp_path, argv
+    ):
+        # dataclasses and the inspect it imports cost each process about 10 ms.
+        loaded = _modules_after(_main_code(argv, tmp_path / "x.tsv"))
+        unused = {"dataclasses", "inspect", "lexirank._pcg64"}
+        assert not unused & (loaded - _modules_after("pass"))
+
     def test_missing_numpy_fails_only_where_it_is_used(self, tmp_path):
         # find_spec stands in for an interpreter without numpy.
         out = tmp_path / "x.tsv"

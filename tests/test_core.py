@@ -1,5 +1,8 @@
 """Projection, imputation, exposure models, and the domain types."""
 
+import copy
+import inspect
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -12,10 +15,15 @@ from lexirank import (
     ExposureModel,
     Imputation,
     JudgmentSet,
+    MetricId,
+    NormalizationModel,
     Preference,
     RankedList,
     RelevantPositions,
+    SimulationConfig,
     UnevaluableRequestError,
+    UserSubset,
+    UtilityVector,
     ValidationError,
     project_and_impute,
     project_runs,
@@ -264,6 +272,115 @@ class TestDomainTypes:
         assert [p.sign for p in Preference] == [1, -1, 0]
         assert all(Preference(p.sign) is p for p in Preference)
         assert all(type(p.sign) is int for p in Preference)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: RankedList("q", ("a", "b"), 2.5),
+        lambda: RankedList("q", ("a",), "100"),
+        lambda: RankedList("q", "abc", 100),
+        lambda: JudgmentSet("q", "ab"),
+        lambda: ExposureModel.linear(2.5),
+        lambda: SimulationConfig(100, (1, 2, 3), 5),
+    ],
+    ids=["float-corpus", "str-corpus", "str-items", "str-relevant", "float-linear", "m-triple"],
+)
+def test_constructors_reject_what_they_would_reinterpret(build):
+    # Each was once accepted as something else, or failed with a bare TypeError.
+    with pytest.raises(ValidationError):
+        build()
+
+
+# One instance of each value type, its dataclass-style repr, a change that
+# passes its checks and one that does not.
+VALUES = [
+    (
+        RankedList("q1", ("d1", "d2"), 10, "run"),
+        "RankedList(request_id='q1', items=('d1', 'd2'), corpus_size=10, system_tag='run')",
+        {"items": ("d2", "d1")},
+        {"items": ("d1", "d1")},
+    ),
+    (
+        JudgmentSet("q1", frozenset({"d1"})),
+        "JudgmentSet(request_id='q1', relevant_ids=frozenset({'d1'}))",
+        {"relevant_ids": ("d2",)},
+        {"relevant_ids": "d2"},
+    ),
+    (
+        RelevantPositions((2, 5), 10),
+        "RelevantPositions(positions=(2, 5), corpus_size=10)",
+        {"corpus_size": 5},
+        {"positions": (5, 2)},
+    ),
+    (
+        ExposureModel.geometric(0.5),
+        "ExposureModel(kind=<ExposureKind.GEOMETRIC: 'geometric'>, gamma=0.5, corpus_size=None)",
+        {"gamma": 0.25},
+        {"gamma": 1.5},
+    ),
+    (
+        NormalizationModel.ap(),
+        "NormalizationModel(kind='ap')",
+        {"kind": "rr"},
+        {"kind": "nope"},
+    ),
+    (
+        MetricId.recall_at(5),
+        "MetricId(kind=<MetricKind.RECALL_AT_K: 'recall@k'>, gamma=None, k=5, epsilon=None, "
+        "exposure=None)",
+        {"k": 7},
+        {"k": 0},
+    ),
+    (
+        UtilityVector((3.0, 1.0)),
+        "UtilityVector(values=(3.0, 1.0))",
+        {"values": (2.0,)},
+        {"values": (1.0, 3.0)},
+    ),
+    (
+        UserSubset((1, 3)),
+        "UserSubset(levels=(1, 3))",
+        {"levels": (2,)},
+        {"levels": ()},
+    ),
+    (
+        SimulationConfig(100, (1, 5), 10, 20, 7),
+        "SimulationConfig(corpus_size=100, m_range=(1, 5), pair_count=10, retrieval_depth=20, "
+        "seed=7)",
+        {"seed": 8},
+        {"pair_count": 0},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value,text,change,bad_change", VALUES, ids=[type(v[0]).__name__ for v in VALUES]
+)
+def test_value_type_contract(value, text, change, bad_change):
+    cls = type(value)
+    fields = cls._fields
+    assert fields == tuple(inspect.signature(cls).parameters)
+    assert repr(value) == text
+    assert not hasattr(value, "__dict__")
+    for name in (*fields, "other"):
+        with pytest.raises(AttributeError):
+            setattr(value, name, None)
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+
+    kwargs = {name: getattr(value, name) for name in fields}
+    twin = cls(**kwargs)
+    assert twin is not value and twin == value and hash(twin) == hash(value)
+    assert value.__eq__(tuple(kwargs.values())) is NotImplemented
+    for other in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(other) is cls and other == value and hash(other) == hash(value)
+
+    assert value._replace() == value
+    changed = value._replace(**change)
+    assert changed != value and changed == cls(**{**kwargs, **change})
+    with pytest.raises(ValidationError):
+        value._replace(**bad_change)
 
 
 def _check_worst_case(m, corpus_size, retrieved):
