@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import chain, combinations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._numpy import np
@@ -352,6 +353,20 @@ def _resolve_methods(
     return resolved
 
 
+def _run_pair_preferences(
+    fn: PreferenceFn,
+    vectors: Mapping[str, Mapping[str, RelevantPositions]],
+    requests: Sequence[str],
+    tags: Sequence[str],
+) -> list[list[Preference]]:
+    """``fn``'s preference for every run pair of each request: one list per
+    request in ``requests`` order, pairs in ``combinations(tags, 2)`` order."""
+    pairs = list(combinations(tags, 2))
+    return [
+        [fn(cells[a], cells[b]) for a, b in pairs] for cells in map(vectors.__getitem__, requests)
+    ]
+
+
 def tie_fractions(
     pairs: PairStream,
     methods: Sequence[str | MetricId],
@@ -477,55 +492,42 @@ def degradation_study(
     check_distinct(fractions, "fraction")
     resolved = _resolve_methods(methods, tolerance)
     tags = sorted(runs)
-    run_pairs = [(a, b) for i, a in enumerate(tags) for b in tags[i + 1 :]]
-    if not run_pairs:
+    if len(tags) < 2:
         raise ValidationError("need at least two runs")
 
     evaluable = sorted(q for q, judgment in judgments.items() if judgment.evaluable)
     if not evaluable:
         raise ValidationError("no evaluable requests")
     full = project_runs(runs, judgments, evaluable, mode)
-    full_prefs: dict[str, list[list]] = {}
-    for name, fn in resolved:
-        full_prefs[name] = [
-            [fn(full[q][a], full[q][b]) for (a, b) in run_pairs] for q in evaluable
-        ]
+    full_prefs = [
+        list(chain.from_iterable(_run_pair_preferences(fn, full, evaluable, tags)))
+        for _name, fn in resolved
+    ]
 
     rows: list[dict[str, object]] = []
     for fraction in fractions:
-        stats = {name: {"ties": 0.0, "agree": 0.0} for name, _fn in resolved}
+        ties = [0.0] * len(resolved)
+        agree = [0.0] * len(resolved)
         for sample in range(samples):
             degraded_judgments = {
                 q: degrade_judgments(judgments[q], fraction, stable_seed(seed, sample, q))
                 for q in evaluable
             }
             degraded = project_runs(runs, degraded_judgments, evaluable, mode)
-            for name, fn in resolved:
-                ties = 0
-                comparisons = 0
-                agree = 0
-                strict_full = 0
-                for qi, q in enumerate(evaluable):
-                    for pi, (a, b) in enumerate(run_pairs):
-                        pref = fn(degraded[q][a], degraded[q][b])
-                        comparisons += 1
-                        if pref is Preference.TIE:
-                            ties += 1
-                        base = full_prefs[name][qi][pi]
-                        if base is not Preference.TIE:
-                            strict_full += 1
-                            if pref is base:
-                                agree += 1
-                stats[name]["ties"] += ties / comparisons
-                stats[name]["agree"] += agree / strict_full if strict_full else 1.0
+            for idx, ((_name, fn), base) in enumerate(zip(resolved, full_prefs)):
+                prefs = _run_pair_preferences(fn, degraded, evaluable, tags)
+                prefs = list(chain.from_iterable(prefs))
+                strict = [p is was for p, was in zip(prefs, base) if was is not Preference.TIE]
+                ties[idx] += prefs.count(Preference.TIE) / len(prefs)
+                agree[idx] += strict.count(True) / len(strict) if strict else 1.0
             del degraded  # one degraded pass alive at a time
-        for name, _fn in resolved:
-            rows.append(
-                {
-                    "fraction": fraction,
-                    "method": name,
-                    "tie_fraction": stats[name]["ties"] / samples,
-                    "agreement_with_full": stats[name]["agree"] / samples,
-                }
-            )
+        rows += (
+            {
+                "fraction": fraction,
+                "method": name,
+                "tie_fraction": tied / samples,
+                "agreement_with_full": agreed / samples,
+            }
+            for (name, _fn), tied, agreed in zip(resolved, ties, agree)
+        )
     return rows

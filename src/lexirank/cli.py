@@ -17,6 +17,7 @@ import argparse
 import logging
 import math
 import sys
+from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
@@ -152,43 +153,33 @@ def cmd_compare(args) -> int:
     pair_rows = []
     p_values = []
     hsd_grid = stats.tukey_hsd(values) if args.hsd else None
-    for i, tag_a in enumerate(tags):
-        for j in range(i + 1, len(tags)):
-            tag_b = tags[j]
-            wins_a = wins_b = ties = 0
-            for q in evaluable:
-                pref = method_fn(projected[q][tag_a], projected[q][tag_b])
-                if pref is Preference.TIE:
-                    ties += 1
-                elif pref is Preference.FIRST:
-                    wins_a += 1
-                else:
-                    wins_b += 1
-            total = wins_a + wins_b + ties
-            if is_metric_method:
-                p = stats.paired_t_test(values[i], values[j])
-            else:
-                try:
-                    p = stats.binomial_sign_test(wins_a, wins_b)
-                except UndefinedResultError:
-                    logger.warning(
-                        "no decisive requests for (%s, %s); p set to 1", tag_a, tag_b
-                    )
-                    p = 1.0
-            p_values.append(p)
-            row = {
-                "run_a": tag_a,
-                "run_b": tag_b,
-                "method": method_name,
-                "wins_a": wins_a,
-                "wins_b": wins_b,
-                "ties": ties,
-                "win_rate_a": (wins_a + ties / 2) / total,
-                "p_value": p,
-            }
-            if hsd_grid is not None:
-                row["p_hsd"] = float(hsd_grid[i, j])
-            pair_rows.append(row)
+    prefs = analytics._run_pair_preferences(method_fn, projected, evaluable, tags)
+    outcomes = Preference.FIRST, Preference.SECOND, Preference.TIE
+    for (i, j), column in zip(combinations(range(len(tags)), 2), zip(*prefs)):
+        tag_a, tag_b = tags[i], tags[j]
+        wins_a, wins_b, ties = map(column.count, outcomes)
+        if is_metric_method:
+            p = stats.paired_t_test(values[i], values[j])
+        else:
+            try:
+                p = stats.binomial_sign_test(wins_a, wins_b)
+            except UndefinedResultError:
+                logger.warning("no decisive requests for (%s, %s); p set to 1", tag_a, tag_b)
+                p = 1.0
+        p_values.append(p)
+        row = {
+            "run_a": tag_a,
+            "run_b": tag_b,
+            "method": method_name,
+            "wins_a": wins_a,
+            "wins_b": wins_b,
+            "ties": ties,
+            "win_rate_a": (wins_a + ties / 2) / len(column),
+            "p_value": p,
+        }
+        if hsd_grid is not None:
+            row["p_hsd"] = float(hsd_grid[i, j])
+        pair_rows.append(row)
 
     adjusted = stats.holm_bonferroni(p_values)
     for row, adj in zip(pair_rows, adjusted):
@@ -343,7 +334,8 @@ def cmd_degrade(args) -> int:
         if not 0.0 <= fraction < 1.0:
             raise ValidationError(f"fractions must lie in [0, 1), got {fraction}")
     check_distinct(fractions, "fraction")
-    analytics._resolve_methods(args.method, args.tolerance)
+    methods = [parse_method(method, args.corpus_size) for method in args.method]
+    analytics._resolve_methods(methods, args.tolerance)
     # Each fraction labels its rows, so no two may print alike in a TSV cell.
     cell_text = tables._cell_formatter(float)
     printed: dict[str, str] = {}
@@ -357,7 +349,7 @@ def cmd_degrade(args) -> int:
         runs,
         judgments,
         fractions=fractions,
-        methods=list(args.method),
+        methods=methods,
         samples=args.samples,
         seed=args.seed,
         tolerance=args.tolerance,

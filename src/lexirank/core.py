@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 from enum import Enum, IntEnum
 from itertools import compress, count
@@ -252,8 +253,8 @@ class ExposureModel(Record):
         self, kind: ExposureKind, gamma: float | None = None, corpus_size: int | None = None
     ) -> None:
         if kind is ExposureKind.GEOMETRIC:
-            if gamma is None or not 0.0 < gamma < 1.0:
-                raise ValidationError(f"geometric exposure needs gamma in (0,1), got {gamma}")
+            if not isinstance(gamma, numbers.Real) or not 0.0 < gamma < 1.0:
+                raise ValidationError(f"geometric exposure needs gamma in (0,1), got {gamma!r}")
         if corpus_size is not None:
             corpus_size = _integer(corpus_size, "corpus_size")
         if kind is ExposureKind.LINEAR:

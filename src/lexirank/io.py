@@ -57,16 +57,23 @@ _BLOCK_CHARS = 1 << 16
 # ends in a token of its own. A block that holds it is split line by line.
 _END = "\x00"
 
+# A UTF-8 byte-order mark, which would otherwise read as part of the first id.
+_BOM = "\ufeff"
+
 # What undecodable bytes become when a file is read with surrogateescape.
 _UNDECODABLE = re.compile("[\udc80-\udcff]")
 
 
 def _read_lines(path: str | Path) -> Iterable[tuple[int, str]]:
-    """Numbered non-blank lines, stripped; ``ParseError`` at one that is not UTF-8."""
+    """Numbered non-blank lines, stripped; ``ParseError`` at one that is not
+    UTF-8, and at line 1 if the file starts with a byte-order mark."""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for number, raw in enumerate(fh, start=1):
-            if not raw.isascii() and _UNDECODABLE.search(raw):
-                raise ParseError("line is not valid UTF-8", path=str(path), line=number)
+            if not raw.isascii():
+                if _UNDECODABLE.search(raw):
+                    raise ParseError("line is not valid UTF-8", path=str(path), line=number)
+                if number == 1 and raw.startswith(_BOM):
+                    raise ParseError("file starts with a byte-order mark", path=str(path), line=1)
             line = raw.strip()
             if line:
                 yield number, line
@@ -80,10 +87,10 @@ def parse_run_file(
     ``corpus_size`` is attached to every ranking; it is configuration, not
     file content. Rank columns that disagree with the score ordering are
     reported as a warning because the scores are authoritative. A malformed
-    line, bytes that are not UTF-8, a non-finite score, a second system tag
-    or a repeated item of a request is a ``ParseError`` with its file and
-    line; the first in file order is reported. A ranking longer than
-    ``corpus_size`` is a ``ValidationError``.
+    line, bytes that are not UTF-8, a leading byte-order mark, a non-finite
+    score, a second system tag or a repeated item of a request is a
+    ``ParseError`` with its file and line; the first in file order is
+    reported. A ranking longer than ``corpus_size`` is a ``ValidationError``.
 
     ``ids`` maps each request and item id to the one string kept for it.
     Every item id read, and each request id once, goes through it; pass one
@@ -106,6 +113,9 @@ def parse_run_file(
     rank_mismatches = 0
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            if fh.read(1) == _BOM:
+                raise ValueError("a byte-order mark")
+            fh.seek(0)
             while text := fh.read(_BLOCK_CHARS):
                 tokens = _block_fields(text + fh.readline())
                 if not tokens:
@@ -266,7 +276,8 @@ def parse_qrels(
     raises ``ParseError`` at the repeated line, since keeping either grade
     would make the judgments depend on line order. Requests where nothing
     clears the threshold yield an empty, unevaluable judgment set so that
-    callers can count and skip them.
+    callers can count and skip them. Bytes that are not UTF-8 and a leading
+    byte-order mark are each a ``ParseError`` at their line.
     """
     spath = str(path)
     grades: dict[str, dict[str, int]] = {}

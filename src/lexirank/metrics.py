@@ -22,6 +22,7 @@ on, which would make scores depend on the interpreter.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from bisect import bisect_right
 from enum import Enum
@@ -161,8 +162,8 @@ class MetricId(Record):
         if kind is MetricKind.RBP:
             if gamma is None:
                 gamma = _DEFAULT_GAMMA
-            if not 0.0 < gamma < 1.0:
-                raise ValidationError(f"RBP gamma must lie in (0,1), got {gamma}")
+            if not isinstance(gamma, numbers.Real) or not 0.0 < gamma < 1.0:
+                raise ValidationError(f"RBP gamma must lie in (0,1), got {gamma!r}")
         if kind is MetricKind.RECALL_AT_K and k is None:
             k = _DEFAULT_K
         if k is not None:

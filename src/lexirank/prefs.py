@@ -15,6 +15,7 @@ Four comparison routes with increasing resolution:
 from __future__ import annotations
 
 import math
+import numbers
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -31,7 +32,11 @@ class UtilityVector(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: Sequence[float]) -> None:
+        if isinstance(values, str):
+            raise ValidationError(f"utilities must be numbers, not the string {values!r}")
         vals = tuple(values)
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in vals):
+            raise ValidationError(f"utilities must be finite numbers, got {vals}")
         if any(v < 0 for v in vals):
             raise ValidationError("utilities must be non-negative")
         if any(vals[i] < vals[i + 1] for i in range(len(vals) - 1)):

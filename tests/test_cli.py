@@ -1,10 +1,12 @@
 """CLI behaviour: wiring, warnings, determinism, and error paths."""
 
 import ast
+import json
 import logging
 import subprocess
 import sys
 import tempfile
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import lexirank
+from lexirank import (
+    JudgmentSet, Preference, RankedList, degrade_judgments, make_method, project_runs,
+)
+from lexirank.analytics import stable_seed
 from lexirank.cli import _load_runs, main
 
 from conftest import subprocess_env
@@ -326,6 +332,17 @@ class TestOtherCommands:
         first = dict(zip(header, lines[1].split("\t")))
         assert first["fraction"] == "0" and first["agreement_with_full"] == "1"
 
+    def test_degrade_reads_metrics_with_the_corpus_size(self, tmp_path):
+        # Linear exposure needs D; degrade used to parse its methods without it.
+        out = tmp_path / "deg.tsv"
+        argv = ["degrade", *data_args(out), "--fractions", "0,0.5", "--samples", "2",
+                "--method", "metric:tse:linear"]
+        assert run_cli(argv) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert [(fraction, method) for fraction, method, *_ in rows] == [
+            ("0", "TSE[linear(50)]"), ("0.5", "TSE[linear(50)]")
+        ]
+
 
 class TestDeterminismAndErrors:
     @pytest.mark.parametrize(
@@ -382,6 +399,27 @@ class TestDeterminismAndErrors:
         assert run_cli(["eval", *argv]) == 1
         line = good.count(b"\n") + 1
         assert capsys.readouterr().err == f"error: line is not valid UTF-8 [{bad}:{line}]\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "prefix", [b"\xef\xbb\xbf", b"\xef\xbb\xbf\n"], ids=["glued", "own-line"]
+    )
+    @pytest.mark.parametrize("kind", ["runs", "qrels"])
+    @pytest.mark.parametrize(
+        "command",
+        [["eval"], ["compare", "--method", "lexirecall"], ["degrade", "--samples", "2"]],
+        ids=["eval", "compare", "degrade"],
+    )
+    def test_byte_order_mark_fails_at_line_one(self, tmp_path, capsys, command, kind, prefix):
+        # A mark glued to the first id used to read as part of it, exit 0.
+        bad = tmp_path / "bom.txt"
+        bad.write_bytes(prefix + Path(RUNS[0] if kind == "runs" else QRELS).read_bytes())
+        out = tmp_path / "x.tsv"
+        argv = data_args(out, runs=[bad, *RUNS[1:]]) if kind == "runs" else data_args(out)
+        if kind == "qrels":
+            argv[argv.index("--qrels") + 1] = bad
+        assert run_cli([*command, *argv]) == 1
+        assert capsys.readouterr().err == f"error: file starts with a byte-order mark [{bad}:1]\n"
         assert not out.exists()
 
     def test_bad_depth_fails_before_any_run_is_read(self, tmp_path, capsys, caplog):
@@ -495,12 +533,15 @@ class TestDeterminismAndErrors:
             (["--method", "AP", "--method", "metric:AP"],
              "comparison method 'AP' given more than once"),
             (["--method", "made-up"], "unknown metric 'made-up'"),
+            (["--method", "metric:tse:linear", "--method", "TSE:linear"],
+             "comparison method 'TSE[linear(50)]' given more than once"),
             (["--tolerance", "-1"], "tolerance must be a finite non-negative number, got -1.0"),
             (["--samples", "0"], "samples must be positive, got 0"),
             (["--samples", "-3"], "samples must be positive, got -3"),
         ],
         ids=["malformed-fraction", "fraction-range", "repeated-fraction", "fractions-print-alike",
-             "repeated-method", "unknown-method", "tolerance", "samples-zero", "samples-negative"],
+             "repeated-method", "unknown-method", "repeated-corpus-size-method", "tolerance",
+             "samples-zero", "samples-negative"],
     )
     def test_degrade_checks_flags_before_reading_files(
         self, tmp_path, capsys, caplog, flags, message
@@ -587,6 +628,101 @@ class TestLineOrderIndependence:
                 target.write_text("\n".join(lines) + "\n")
                 shuffled.append(str(target))
             assert _outputs(shuffled[:-1], shuffled[-1], work) == expected
+
+
+@st.composite
+def pair_cells(draw):
+    """Runs and qrels over a corpus of 12 items: 2-5 runs, 1-8 requests.
+
+    Each request draws one to three rankings and every run takes one of
+    them, so equal vectors are common, and a small corpus makes vectors tie
+    under tse, recall@3 and a tolerant AP.
+    """
+    corpus = [f"d{i:02d}" for i in range(12)]
+    tags = [f"run{r}" for r in range(draw(st.integers(2, 5)))]
+    rankings = st.permutations(corpus).flatmap(
+        lambda order: st.integers(1, len(order)).map(lambda depth: order[:depth])
+    )
+    runs = {tag: {} for tag in tags}
+    judgments = {}
+    for q in (f"q{i}" for i in range(draw(st.integers(1, 8)))):
+        relevant = draw(st.sets(st.sampled_from(corpus), min_size=1, max_size=5))
+        judgments[q] = JudgmentSet(q, relevant)
+        pool = draw(st.lists(rankings, min_size=1, max_size=3))
+        for tag in tags:
+            runs[tag][q] = RankedList(q, tuple(draw(st.sampled_from(pool))), len(corpus), tag)
+    return runs, judgments
+
+
+def _write_cells(runs, judgments, directory) -> list[str]:
+    """The ``--runs`` and ``--qrels`` flags of ``runs`` and ``judgments`` written out."""
+    flags = []
+    for tag, ranked in runs.items():
+        path = Path(directory) / f"{tag}.txt"
+        path.write_text("".join(
+            f"{q} Q0 {item} {rank} {100 - rank} {tag}\n"
+            for q, rl in ranked.items()
+            for rank, item in enumerate(rl.items, start=1)
+        ))
+        flags += ["--runs", str(path)]
+    qrels = Path(directory) / "qrels.txt"
+    qrels.write_text("".join(
+        f"{q} 0 {item} 1\n" for q, judgment in judgments.items() for item in judgment.relevant_ids
+    ))
+    return [*flags, "--qrels", str(qrels), "--corpus-size", "12", "--format", "json"]
+
+
+class TestRunPairPreferences:
+    """``compare`` and ``degrade`` tally the preferences a plain nested loop
+    over the method's function gives."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair_cells(),
+        st.sampled_from(["lexirecall", "tse", "metric:AP", "metric:recall@3"]),
+        st.floats(0.001, 0.2),
+        st.sampled_from([0.25, 0.5]),
+        st.integers(0, 2**16),
+    )
+    def test_tallies_equal_a_nested_loop(self, cells, method, tolerance, fraction, seed):
+        runs, judgments = cells
+        _name, fn = make_method(method, tolerance, corpus_size=12)
+        requests = sorted(judgments)
+        pairs = list(combinations(sorted(runs), 2))
+        full = project_runs(runs, judgments, requests)
+        degraded = project_runs(runs, {
+            q: degrade_judgments(judgments[q], fraction, stable_seed(seed, 0, q)) for q in requests
+        }, requests)
+        wins = {pair: [0, 0, 0] for pair in pairs}  # wins_a, wins_b, ties
+        column = {Preference.FIRST: 0, Preference.SECOND: 1, Preference.TIE: 2}
+        ties = agree = strict = 0
+        for a, b in pairs:
+            for q in requests:
+                pref = fn(full[q][a], full[q][b])
+                wins[a, b][column[pref]] += 1
+                thinned = fn(degraded[q][a], degraded[q][b])
+                ties += thinned is Preference.TIE
+                if pref is not Preference.TIE:
+                    strict += 1
+                    agree += thinned is pref
+        with tempfile.TemporaryDirectory() as work:
+            flags = [*_write_cells(runs, judgments, work), "--tolerance", str(tolerance)]
+            out = Path(work) / "out.json"
+            # A metric method's paired t-test needs two requests.
+            if len(requests) > 1 or not method.startswith("metric:"):
+                assert run_cli(["compare", *flags, "--method", method, "--out", out]) == 0
+                compared = {
+                    (r["run_a"], r["run_b"]): [r["wins_a"], r["wins_b"], r["ties"]]
+                    for r in json.loads(out.read_text())
+                }
+                assert compared == wins
+            assert run_cli([
+                "degrade", *flags, "--method", method, "--fractions", str(fraction),
+                "--samples", "1", "--seed", str(seed), "--out", out,
+            ]) == 0
+            [row] = json.loads(out.read_text())
+        assert row["tie_fraction"] == ties / (len(pairs) * len(requests))
+        assert row["agreement_with_full"] == (agree / strict if strict else 1.0)
 
 
 def _modules_after(code):

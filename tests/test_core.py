@@ -283,8 +283,11 @@ class TestDomainTypes:
         lambda: JudgmentSet("q", "ab"),
         lambda: ExposureModel.linear(2.5),
         lambda: SimulationConfig(100, (1, 2, 3), 5),
+        lambda: ExposureModel.geometric("0.5"),
+        lambda: MetricId.rbp("0.9"),
     ],
-    ids=["float-corpus", "str-corpus", "str-items", "str-relevant", "float-linear", "m-triple"],
+    ids=["float-corpus", "str-corpus", "str-items", "str-relevant", "float-linear", "m-triple",
+         "str-exposure-gamma", "str-rbp-gamma"],
 )
 def test_constructors_reject_what_they_would_reinterpret(build):
     # Each was once accepted as something else, or failed with a bare TypeError.

@@ -58,6 +58,15 @@ class TestLeximin:
             UtilityVector((-0.1,))
         assert UtilityVector.from_values([0.1, 0.5]).values == (0.5, 0.1)
 
+    @pytest.mark.parametrize(
+        "values", [(2.0, float("nan")), (float("inf"), 1.0), "321"], ids=["nan", "inf", "str"]
+    )
+    def test_non_finite_or_string_utilities_rejected(self, values):
+        # NaN passed both order checks, inf was kept, and a string failed
+        # with a bare TypeError.
+        with pytest.raises(ValidationError):
+            UtilityVector(values)
+
 
 class TestLexirecall:
     def test_definitional_cases(self):
