@@ -7,10 +7,12 @@ combinatorics, seeded simulators, and a significance-testing pipeline,
 plus parsers for standard run and qrels files and a CLI.
 """
 
-from importlib import import_module
+from ._numpy import lazy_import
 
 # Each module and the names the package exports from it. Every module is
-# imported here, so ``import lexirank.cli`` loads them all.
+# registered here and runs on its first attribute access, so ``import
+# lexirank.cli`` puts them all in ``sys.modules`` and a command runs only
+# the modules it calls.
 _EXPORTS = {
     "analytics": (
         "SimulationConfig", "agreement_with_worst_case", "degradation_study", "degrade_judgments",
@@ -42,11 +44,23 @@ _EXPORTS = {
     ),
 }
 
-for _module, _names in _EXPORTS.items():
-    _loaded = import_module(f".{_module}", __name__)
-    globals().update((name, getattr(_loaded, name)) for name in _names)
-del _module, _names, _loaded, import_module
+for _module in _EXPORTS:
+    globals()[_module] = lazy_import(f"{__name__}.{_module}")
+del _module, lazy_import
 
 __version__ = "0.1.0"
 
 __all__ = sorted(name for names in _EXPORTS.values() for name in names)
+
+
+def __getattr__(name):
+    # Looked up in its module on every access and not cached, so a module
+    # attribute rebound after import shows through the package too.
+    for module, names in _EXPORTS.items():
+        if name in names:
+            return getattr(globals()[module], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() - {"__getattr__", "__dir__"} | set(__all__))

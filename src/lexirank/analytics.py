@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from ._numpy import np
@@ -45,7 +45,9 @@ from .core import (
 )
 from .errors import UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, MetricKind, evaluate
-from .prefs import DEFAULT_TOLERANCE, PreferenceFn, make_method, metric_compare
+from .prefs import (
+    DEFAULT_TOLERANCE, PreferenceFn, make_method, metric_compare, run_pair_preferences,
+)
 
 
 class SimulationConfig(Record):
@@ -353,20 +355,6 @@ def _resolve_methods(
     return resolved
 
 
-def _run_pair_preferences(
-    fn: PreferenceFn,
-    vectors: Mapping[str, Mapping[str, RelevantPositions]],
-    requests: Sequence[str],
-    tags: Sequence[str],
-) -> list[list[Preference]]:
-    """``fn``'s preference for every run pair of each request: one list per
-    request in ``requests`` order, pairs in ``combinations(tags, 2)`` order."""
-    pairs = list(combinations(tags, 2))
-    return [
-        [fn(cells[a], cells[b]) for a, b in pairs] for cells in map(vectors.__getitem__, requests)
-    ]
-
-
 def tie_fractions(
     pairs: PairStream,
     methods: Sequence[str | MetricId],
@@ -500,7 +488,7 @@ def degradation_study(
         raise ValidationError("no evaluable requests")
     full = project_runs(runs, judgments, evaluable, mode)
     full_prefs = [
-        list(chain.from_iterable(_run_pair_preferences(fn, full, evaluable, tags)))
+        list(chain.from_iterable(run_pair_preferences(fn, full, evaluable, tags)))
         for _name, fn in resolved
     ]
 
@@ -515,7 +503,7 @@ def degradation_study(
             }
             degraded = project_runs(runs, degraded_judgments, evaluable, mode)
             for idx, ((_name, fn), base) in enumerate(zip(resolved, full_prefs)):
-                prefs = _run_pair_preferences(fn, degraded, evaluable, tags)
+                prefs = run_pair_preferences(fn, degraded, evaluable, tags)
                 prefs = list(chain.from_iterable(prefs))
                 strict = [p is was for p, was in zip(prefs, base) if was is not Preference.TIE]
                 ties[idx] += prefs.count(Preference.TIE) / len(prefs)

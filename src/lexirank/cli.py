@@ -21,12 +21,13 @@ from itertools import combinations
 from pathlib import Path
 from typing import Sequence
 
-from . import analytics, io as tables, stats
+# Modules that not every command runs are reached as attributes, so each
+# runs on first use (see ``_numpy.lazy_import``).
+from . import analytics, io as tables, prefs, stats
 from ._numpy import np
 from .core import Imputation, Preference, project_runs
 from .errors import LexirankError, UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, evaluate
-from .prefs import make_method, parse_method
 
 logger = logging.getLogger(__name__)
 
@@ -130,12 +131,12 @@ def cmd_eval(args) -> int:
 def cmd_compare(args) -> int:
     if not 0.0 < args.alpha < 1.0:
         raise ValidationError(f"--alpha must lie in (0, 1), got {args.alpha}")
-    method = parse_method(args.method, args.corpus_size)
+    method = prefs.parse_method(args.method, args.corpus_size)
     if args.hsd and method == "lexirecall":
         raise ValidationError(
             "--hsd needs per-request scores; use a metric method such as metric:AP"
         )
-    method_name, method_fn = make_method(method, tolerance=args.tolerance)
+    method_name, method_fn = prefs.make_method(method, tolerance=args.tolerance)
     judgments, runs, evaluable = _load_collection(args)
     if len(runs) < 2:
         raise ValidationError("compare needs at least two runs")
@@ -153,13 +154,16 @@ def cmd_compare(args) -> int:
     pair_rows = []
     p_values = []
     hsd_grid = stats.tukey_hsd(values) if args.hsd else None
-    prefs = analytics._run_pair_preferences(method_fn, projected, evaluable, tags)
+    paired = len(evaluable) > 1
+    if is_metric_method and not paired:
+        logger.warning("one evaluable request: no paired t-test; p set to 1")
+    preferences = prefs.run_pair_preferences(method_fn, projected, evaluable, tags)
     outcomes = Preference.FIRST, Preference.SECOND, Preference.TIE
-    for (i, j), column in zip(combinations(range(len(tags)), 2), zip(*prefs)):
+    for (i, j), column in zip(combinations(range(len(tags)), 2), zip(*preferences)):
         tag_a, tag_b = tags[i], tags[j]
         wins_a, wins_b, ties = map(column.count, outcomes)
         if is_metric_method:
-            p = stats.paired_t_test(values[i], values[j])
+            p = stats.paired_t_test(values[i], values[j]) if paired else 1.0
         else:
             try:
                 p = stats.binomial_sign_test(wins_a, wins_b)
@@ -334,7 +338,7 @@ def cmd_degrade(args) -> int:
         if not 0.0 <= fraction < 1.0:
             raise ValidationError(f"fractions must lie in [0, 1), got {fraction}")
     check_distinct(fractions, "fraction")
-    methods = [parse_method(method, args.corpus_size) for method in args.method]
+    methods = [prefs.parse_method(method, args.corpus_size) for method in args.method]
     analytics._resolve_methods(methods, args.tolerance)
     # Each fraction labels its rows, so no two may print alike in a TSV cell.
     cell_text = tables._cell_formatter(float)

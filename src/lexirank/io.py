@@ -5,7 +5,8 @@ Run files are the usual six-column whitespace format
 Within a request, the ranking order is score-descending with item-id
 ascending as the tiebreak; the rank column is validated but never trusted.
 Scores must be finite, and every line of a run file must carry the same
-system tag.
+system tag. Ranks, scores and grades are ASCII numerals without ``_``; ids
+are free-form.
 
 Run files are parsed in bulk, in plain Python and without numpy. Each block
 of lines is split once, with every line end marked by a token of its own, so
@@ -87,8 +88,9 @@ def parse_run_file(
     ``corpus_size`` is attached to every ranking; it is configuration, not
     file content. Rank columns that disagree with the score ordering are
     reported as a warning because the scores are authoritative. A malformed
-    line, bytes that are not UTF-8, a leading byte-order mark, a non-finite
-    score, a second system tag or a repeated item of a request is a
+    line, bytes that are not UTF-8, a leading byte-order mark, a rank or
+    score that is not an ASCII numeral without ``_``, a non-finite score, a
+    second system tag or a repeated item of a request is a
     ``ParseError`` with its file and line; the first in file order is
     reported. A ranking longer than ``corpus_size`` is a ``ValidationError``.
 
@@ -117,9 +119,13 @@ def parse_run_file(
                 raise ValueError("a byte-order mark")
             fh.seek(0)
             while text := fh.read(_BLOCK_CHARS):
-                tokens = _block_fields(text + fh.readline())
+                text += fh.readline()
+                tokens = _block_fields(text)
                 if not tokens:
                     continue
+                if not text.isascii() or "_" in text:
+                    # Ids are free-form; only ranks and scores must be numerals.
+                    _check_numeral("".join(chain(tokens[3::7], tokens[4::7])))
                 tags = tokens[5::7]
                 if tag is None:
                     tag = tags[0]
@@ -181,6 +187,14 @@ def parse_run_file(
     return runs
 
 
+def _check_numeral(text: str) -> str:
+    """``text``, if it is ASCII with no ``_``. ``int`` and ``float`` also read
+    ``1_0`` and other scripts' digits, which trec_eval does not."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII numeral")
+    return text
+
+
 def _runs_of_lines(requests: list[str]) -> dict[str, range] | None:
     """Each request's rows as one span, or ``None`` once a request starts a
     second run of lines. ``requests`` holds one string object per request, so
@@ -223,9 +237,10 @@ def _raise_at_bad_line(path: str | Path) -> None:
     """Raise the ``ParseError`` of a run file's first bad line, if it has one.
 
     The checks run in this order on each line, and nothing is built: six
-    fields, an ``int`` rank and a ``float`` score, a finite score, the file's
-    one system tag, an item not yet seen for its request. Its errors replace
-    the bulk parse's, so they do not carry that one as their context.
+    fields, an ``int`` rank and a ``float`` score written as ASCII numerals, a
+    finite score, the file's one system tag, an item not yet seen for its
+    request. Its errors replace the bulk parse's, so they do not carry that
+    one as their context.
     """
     spath = str(path)
     seen: set[tuple[str, str]] = set()
@@ -240,8 +255,8 @@ def _raise_at_bad_line(path: str | Path) -> None:
             ) from None
         request_id, _q0, item_id, rank_text, score_text, tag = fields
         try:
-            int(rank_text)
-            score = float(score_text)
+            int(_check_numeral(rank_text))
+            score = float(_check_numeral(score_text))
         except ValueError as exc:
             raise ParseError(f"bad rank/score: {exc}", path=spath, line=number) from exc
         if not math.isfinite(score):
@@ -277,7 +292,8 @@ def parse_qrels(
     would make the judgments depend on line order. Requests where nothing
     clears the threshold yield an empty, unevaluable judgment set so that
     callers can count and skip them. Bytes that are not UTF-8 and a leading
-    byte-order mark are each a ``ParseError`` at their line.
+    byte-order mark are each a ``ParseError`` at their line, and so is a
+    grade that is not an ASCII numeral without ``_``.
     """
     spath = str(path)
     grades: dict[str, dict[str, int]] = {}
@@ -292,7 +308,7 @@ def parse_qrels(
             )
         request_id, _iteration, item_id, grade_text = fields
         try:
-            grade = int(grade_text)
+            grade = int(_check_numeral(grade_text))
         except ValueError as exc:
             raise ParseError(f"bad grade: {exc}", path=spath, line=number) from exc
         per_request = grades.setdefault(request_id, {})

@@ -26,11 +26,14 @@ import numbers
 import operator
 from bisect import bisect_right
 from enum import Enum
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .core import ExposureModel, Record, RelevantPositions, parameter_label
 from .errors import UnevaluableRequestError, ValidationError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 
 @lru_cache(maxsize=None)
@@ -128,11 +131,12 @@ _PLAIN_NAMES = {name: kind for kind, (_, _, names) in _KINDS.items() for name in
 
 _DEFAULT_GAMMA = 0.8
 _DEFAULT_K = 1000
-_DEFAULT_EPSILON = Fraction(1, 2)
+_DEFAULT_EPSILON = 0.5  # read as exactly 1/2
 
 
 def _epsilon(value: Fraction | float) -> Fraction:
     """An exact epsilon in (0, 1); a float is read as its shortest decimal repr."""
+    from fractions import Fraction  # loads decimal; only exact scores need it
     try:
         eps = Fraction(repr(float(value)) if isinstance(value, float) else value)
     except ValueError:
@@ -174,7 +178,7 @@ class MetricId(Record):
             if kind is MetricKind.RECALL_AT_K and k < 1:
                 raise ValidationError(f"recall@k needs k >= 1, got {k}")
         if kind is MetricKind.METRIC_LEXIRECALL:
-            epsilon = _epsilon(epsilon) if epsilon is not None else _DEFAULT_EPSILON
+            epsilon = _epsilon(_DEFAULT_EPSILON if epsilon is None else epsilon)
         if kind is MetricKind.TSE and exposure is None:
             exposure = ExposureModel.reciprocal()
         object.__setattr__(self, "kind", kind)
@@ -270,6 +274,7 @@ class MetricId(Record):
         name, colon, epsilon = low.partition(":")
         if name in ("metric-lexirecall", "metric_lexirecall", "mlr"):
             if colon:
+                from fractions import Fraction
                 return cls.metric_lexirecall(_parameter(Fraction, epsilon, text))
             return cls.metric_lexirecall()
         raise ValidationError(f"unknown metric {text!r}")
@@ -299,6 +304,8 @@ def metric_lexirecall(
     ``b^(m-1) N / N^m`` at the top and ``b^(m-i) M N^(i-1) / N^m`` below, so
     the score is one integer numerator over ``D N^m``.
     """
+    from fractions import Fraction
+
     m = rp.m
     if m == 0:
         raise UnevaluableRequestError("no relevant positions to score")

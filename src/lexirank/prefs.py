@@ -10,14 +10,17 @@ Four comparison routes with increasing resolution:
   positions, and the tests use it as that reference;
 * ``metric_compare`` reduces any scalar metric to a preference with an
   explicit tie tolerance.
+
+``run_pair_preferences`` applies one of them to every run pair of each
+request; ``compare`` and ``degrade`` count their preferences from it.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from fractions import Fraction
-from typing import Callable, Sequence
+from itertools import combinations
+from typing import Callable, Mapping, Sequence
 
 from .core import Preference, Record, RelevantPositions
 from .errors import ValidationError
@@ -128,6 +131,8 @@ def metric_compare(
         raise ValidationError(f"tolerance must be a finite non-negative number, got {tolerance}")
     _check_same_request(rpx, rpy)
     if metric.kind is MetricKind.METRIC_LEXIRECALL:
+        from fractions import Fraction  # loads decimal; only exact scores need it
+
         eps = metric.epsilon
         diff = metric_lexirecall(rpx, eps) - metric_lexirecall(rpy, eps)
         tol = Fraction(tolerance)
@@ -172,3 +177,17 @@ def make_method(
     if method == "tse":
         return "tse", tse_compare
     return method.label, lambda x, y: metric_compare(method, x, y, tolerance)
+
+
+def run_pair_preferences(
+    fn: PreferenceFn,
+    vectors: Mapping[str, Mapping[str, RelevantPositions]],
+    requests: Sequence[str],
+    tags: Sequence[str],
+) -> list[list[Preference]]:
+    """``fn``'s preference for every run pair of each request: one list per
+    request in ``requests`` order, pairs in ``combinations(tags, 2)`` order."""
+    pairs = list(combinations(tags, 2))
+    return [
+        [fn(cells[a], cells[b]) for a, b in pairs] for cells in map(vectors.__getitem__, requests)
+    ]

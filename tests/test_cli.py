@@ -20,7 +20,7 @@ from lexirank import (
 from lexirank.analytics import stable_seed
 from lexirank.cli import _load_runs, main
 
-from conftest import subprocess_env
+from conftest import interpreters_without_numpy, subprocess_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
 RUNS = [str(FIXTURES / name) for name in ("run_a.txt", "run_b.txt", "run_c.txt")]
@@ -247,6 +247,30 @@ class TestCompare:
         assert run_cli(["compare", *data_args(out), "--method", "lexirecall", "--hsd"]) == 1
         assert "per-request scores" in capsys.readouterr().err
 
+    def test_metric_method_with_one_request_sets_p_to_one(self, tmp_path, capsys, caplog):
+        # The paired t-test needs two requests: one warning, as for the
+        # undefined sign test, and not an error. Tukey HSD still fails.
+        qrels = tmp_path / "one.txt"
+        qrels.write_text("".join(
+            line for line in Path(QRELS).read_text().splitlines(keepends=True)
+            if line.startswith("q1 ")
+        ))
+        out = tmp_path / "cmp.json"
+        argv = [*data_args(out), "--method", "metric:AP", "--format", "json"]
+        argv[argv.index("--qrels") + 1] = qrels
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(["compare", *argv]) == 0
+        rows = json.loads(out.read_text())
+        assert len(rows) == 3
+        assert {(row["p_value"], row["p_holm"]) for row in rows} == {(1.0, 1.0)}
+        assert [r.message for r in caplog.records if "t-test" in r.message] == [
+            "one evaluable request: no paired t-test; p set to 1"
+        ]
+        out.unlink()
+        assert run_cli(["compare", *argv, "--hsd"]) == 1
+        assert capsys.readouterr().err.startswith("error: Tukey HSD needs at least 2 runs")
+        assert not out.exists()
+
     def test_hsd_with_metric_method(self, tmp_path):
         out = tmp_path / "cmp.tsv"
         code = run_cli(["compare", *data_args(out), "--method", "metric:AP", "--hsd"])
@@ -421,6 +445,60 @@ class TestDeterminismAndErrors:
         assert run_cli([*command, *argv]) == 1
         assert capsys.readouterr().err == f"error: file starts with a byte-order mark [{bad}:1]\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind,column,text",
+        [
+            ("runs", 4, "9_0.0"),  # float() reads 90.0
+            ("runs", 4, "\uff19.0"),  # a full-width digit: float() reads 9.0
+            ("runs", 3, "0_2"),
+            ("runs", 3, "\u0662"),  # an Arabic-Indic digit: int() reads 2
+            ("qrels", 3, "0_1"),
+            ("qrels", 3, "\u0661"),
+        ],
+        ids=["score-underscore", "score-fullwidth", "rank-underscore", "rank-arabic-indic",
+             "grade-underscore", "grade-arabic-indic"],
+    )
+    @pytest.mark.parametrize(
+        "command",
+        [["eval"], ["compare", "--method", "lexirecall"], ["degrade", "--samples", "2"]],
+        ids=["eval", "compare", "degrade"],
+    )
+    def test_numerals_are_ascii_without_underscores(
+        self, tmp_path, capsys, command, kind, column, text
+    ):
+        # Python's int and float read each as a number; trec_eval's C reader does not.
+        lines = Path(RUNS[0] if kind == "runs" else QRELS).read_text().splitlines()
+        fields = lines[1].split()
+        fields[column] = text
+        lines[1] = " ".join(fields)
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "x.tsv"
+        argv = data_args(out, runs=[bad, *RUNS[1:]]) if kind == "runs" else data_args(out)
+        if kind == "qrels":
+            argv[argv.index("--qrels") + 1] = bad
+        assert run_cli([*command, *argv]) == 1
+        field = "rank/score" if kind == "runs" else "grade"
+        message = f"bad {field}: {text!r} is not an ASCII numeral"
+        assert capsys.readouterr().err == f"error: {message} [{bad}:2]\n"
+        assert not out.exists()
+
+    def test_ids_are_free_form(self, tmp_path):
+        # The numeral check leaves ids alone: "_" and non-ASCII letters read as written.
+        renamed = []
+        for source in [*RUNS, QRELS]:
+            target = tmp_path / Path(source).name
+            target.write_text(Path(source).read_text().replace(" d02 ", " d02_\u00e9 "))
+            renamed.append(str(target))
+        outputs = []
+        for runs, qrels in ((RUNS, QRELS), (renamed[:-1], renamed[-1])):
+            out = tmp_path / "eval.tsv"
+            argv = data_args(out, runs=runs)
+            argv[argv.index("--qrels") + 1] = qrels
+            assert run_cli(["eval", *argv]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_bad_depth_fails_before_any_run_is_read(self, tmp_path, capsys, caplog):
         empty = tmp_path / "empty.txt"
@@ -708,14 +786,12 @@ class TestRunPairPreferences:
         with tempfile.TemporaryDirectory() as work:
             flags = [*_write_cells(runs, judgments, work), "--tolerance", str(tolerance)]
             out = Path(work) / "out.json"
-            # A metric method's paired t-test needs two requests.
-            if len(requests) > 1 or not method.startswith("metric:"):
-                assert run_cli(["compare", *flags, "--method", method, "--out", out]) == 0
-                compared = {
-                    (r["run_a"], r["run_b"]): [r["wins_a"], r["wins_b"], r["ties"]]
-                    for r in json.loads(out.read_text())
-                }
-                assert compared == wins
+            assert run_cli(["compare", *flags, "--method", method, "--out", out]) == 0
+            compared = {
+                (r["run_a"], r["run_b"]): [r["wins_a"], r["wins_b"], r["ties"]]
+                for r in json.loads(out.read_text())
+            }
+            assert compared == wins
             assert run_cli([
                 "degrade", *flags, "--method", method, "--fractions", str(fraction),
                 "--samples", "1", "--seed", str(seed), "--out", out,
@@ -738,6 +814,27 @@ def _modules_after(code):
     return set(proc.stdout.split())
 
 
+def _modules_run(code, interpreter=sys.executable):
+    """The ``lexirank`` modules in ``sys.modules`` after ``code`` runs in a fresh
+    interpreter, and those among them whose code has run: a module registered
+    to load on first use is of a ``types.ModuleType`` subclass until then."""
+    listing = (
+        "import sys, types\n"
+        "names = [n for n in sys.modules if n.split('.')[0] == 'lexirank']\n"
+        "print(' '.join(names))\n"
+        "print(' '.join(n for n in names if type(sys.modules[n]) is types.ModuleType))"
+    )
+    proc = subprocess.run(
+        [interpreter, "-c", f"{code}\n{listing}"],
+        capture_output=True,
+        text=True,
+        env=subprocess_env(),
+    )
+    assert proc.returncode == 0, f"{interpreter}: {proc.stderr}"
+    registered, ran = proc.stdout.splitlines()
+    return set(registered.split()), set(ran.split())
+
+
 def _main_code(argv, out) -> str:
     """``import lexirank.cli``, then ``argv`` run to success when it is not empty."""
     code = "import lexirank.cli"
@@ -746,6 +843,19 @@ def _main_code(argv, out) -> str:
     return code
 
 
+_PUBLIC_NAMES = (
+    "EnumerationBudgetError", "ExposureKind", "ExposureModel", "Imputation", "JudgmentSet",
+    "LexirankError", "MetricId", "MetricKind", "NormalizationModel", "ParseError", "Preference",
+    "RankedList", "RelevantPositions", "SimulationConfig", "UndefinedResultError",
+    "UnevaluableRequestError", "UserSubset", "UtilityVector", "ValidationError",
+    "agreement_with_worst_case", "binomial_sign_test", "degradation_study", "degrade_judgments",
+    "enumerate_users", "evaluate", "holm_bonferroni", "leximin_compare", "lexirecall_compare",
+    "make_method", "metric_compare", "metric_lexirecall", "optimal_ranker_worst_case",
+    "orientation", "paired_t_test", "parse_qrels", "parse_run_file", "project_and_impute",
+    "project_runs", "provider_utility", "simulate_pairs", "studentized_range_cdf",
+    "tie_fractions", "tie_probability", "tse", "tse_compare", "tukey_hsd", "user_utility",
+    "worst_case_provider", "worst_case_user", "write_table",
+)
 _TIES_ANALYTIC = ["ties", "--mode", "analytic", "--corpus-size", "1000000", "--m-range", "1", "4"]
 _EVAL = ["eval", "--runs", RUNS[0], "--runs", RUNS[1], "--qrels", QRELS, "--corpus-size", "50"]
 _COMPARE_LEXIRECALL = ["compare", "--method", "lexirecall", *_EVAL[1:]]
@@ -807,6 +917,65 @@ class TestImports:
         assert proc.stderr.splitlines()[-1] == "error: No module named 'numpy'"
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv,used",
+        [(_EVAL, {"core", "errors", "io", "metrics"}),
+         (_COMPARE_LEXIRECALL, {"core", "errors", "io", "metrics", "prefs", "stats"})],
+        ids=["eval", "compare-lexirecall"],
+    )
+    def test_commands_run_only_the_modules_they_call(self, tmp_path, argv, used):
+        # LazyLoader keeps a module's class until its load ends from Python
+        # 3.12 on, so the interpreters without numpy (3.10 to 3.13) run this too.
+        exported = {f"lexirank.{name}" for name in lexirank._EXPORTS}
+        for interpreter in (sys.executable, *interpreters_without_numpy()):
+            registered, ran = _modules_run(_main_code(argv, tmp_path / "x.tsv"), interpreter)
+            assert exported <= registered, interpreter
+            assert exported & ran == {f"lexirank.{name}" for name in used}, interpreter
+
+    def test_public_names_are_unchanged(self):
+        # The names an eager import of every module gave.
+        code = (
+            "import json, lexirank\n"
+            "star = {}\n"
+            "exec('from lexirank import *', star)\n"
+            "print(json.dumps([lexirank.__all__, dir(lexirank), sorted(star)]))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
+        public, listed, star = json.loads(proc.stdout)
+        assert public == sorted(_PUBLIC_NAMES)
+        module_attributes = [
+            "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+            "__package__", "__path__", "__spec__", "_EXPORTS", "__all__", "__version__",
+            "_numpy", "analytics", "core", "errors", "io", "metrics", "prefs", "robustness",
+            "stats",
+        ]
+        assert listed == sorted([*module_attributes, *_PUBLIC_NAMES])
+        assert star == sorted(["__builtins__", *_PUBLIC_NAMES])
+
+    def test_rebound_function_is_seen_by_the_cli_and_the_package(self, tmp_path):
+        # The benchmark's tracer rebinds module functions after this import,
+        # before the module has run.
+        argv = [*_TIES_ANALYTIC, "--out", str(tmp_path / "x.tsv")]
+        code = (
+            "import sys, lexirank, lexirank.cli\n"
+            "analytics = sys.modules['lexirank.analytics']\n"
+            "original, calls = analytics.tie_probability, []\n"
+            "def traced(*args, **kwargs):\n"
+            "    calls.append(args)\n"
+            "    return original(*args, **kwargs)\n"
+            "analytics.tie_probability = traced\n"
+            "assert lexirank.tie_probability is traced\n"
+            f"assert lexirank.cli.main({argv!r}) == 0\n"
+            "assert len(calls) == 4 * 4, calls\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=subprocess_env()
+        )
+        assert proc.returncode == 0, proc.stderr
 
     def test_cli_import_loads_every_module(self):
         # The benchmark's tracer looks the traced modules up in sys.modules.

@@ -126,14 +126,15 @@ class TestParseRunFile:
 
 # Run-file pieces for the bulk/line-loop property: score spellings with ties
 # (0.0 against -0.0 among them), every ASCII separator str.split() knows,
-# both line ends, blank lines, and one non-ASCII item id. The non-ASCII
+# both line ends, blank lines, and item ids holding "_" or a non-ASCII
+# letter, which a rank or score may not. The non-ASCII
 # separators split fields for str.split() but do not end a line when a file
 # is read.
 _REQUESTS = ["q1", "q2", "q10"]
-_ITEMS = ["d1", "d2", "d3", "d10", "D2", "d-4", "d\u00e9"]
+_ITEMS = ["d1", "d2", "d3", "d10", "D2", "d-4", "d_5", "d\u00e9"]
 _SCORES = ["0.0", "-0.0", "0", "-0", "1.5", "+1.5", "1.50", "2", "-3e-2", "7"]
 # Rank spellings: the usual numerals, and others int() reads as the same rank.
-_RANKS = ["1", "2", "3", "4", "01", "+2", "0", "1_0"]
+_RANKS = ["1", "2", "3", "4", "01", "+2", "0"]
 _SEPARATORS = [" ", "   ", "\t", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f", " \t"]
 _NON_ASCII_SEPARATORS = ["\u3000", "\x85", "\u2028"]
 _PADDING = ["", " ", "\t "]
@@ -226,9 +227,11 @@ def _break(draw, rows: list[list[str]], count: int = 1) -> tuple[list[list[str]]
             cut = draw(st.sampled_from([5, 7]))
             rows[at : at + 1] = [joined[:cut], joined[cut:]]
         elif kind == "rank":
-            rows[at][3] = draw(st.sampled_from(["x1", "1.0", "99999999999999999999"]))
+            rows[at][3] = draw(st.sampled_from(["x1", "1.0", "99999999999999999999", "1_0", "\u0661"]))
         elif kind == "score":
-            rows[at][4] = draw(st.sampled_from(["nan", "inf", "-inf", "1e999", "high"]))
+            rows[at][4] = draw(st.sampled_from(
+                ["nan", "inf", "-inf", "1e999", "high", "1_0.0", "\uff11\uff10.0"]
+            ))
         elif kind == "tag":
             rows[at][5] = "other"
         elif kind == "duplicate":
@@ -263,6 +266,12 @@ def _outcome(parse, path: Path, corpus_size: int):
     return rankings, handler.messages
 
 
+def _ascii_numeral(text: str) -> str:
+    if not text.isascii() or "_" in text:  # int() and float() read 1_0 and other digits
+        raise ValueError(f"{text!r} is not an ASCII numeral")
+    return text
+
+
 def _parse_run_lines(
     path: str | Path, corpus_size: int
 ) -> tuple[dict[str, RankedList], int]:
@@ -285,8 +294,8 @@ def _parse_run_lines(
             )
         request_id, _q0, item_id, rank_text, score_text, tag = fields
         try:
-            rank = int(rank_text)
-            score = float(score_text)
+            rank = int(_ascii_numeral(rank_text))
+            score = float(_ascii_numeral(score_text))
         except ValueError as exc:
             raise ParseError(f"bad rank/score: {exc}", path=spath, line=number) from exc
         if not math.isfinite(score):
