@@ -19,13 +19,13 @@ import math
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 # Modules that not every command runs are reached as attributes, so each
 # runs on first use (see ``_numpy.lazy_import``).
 from . import analytics, io as tables, prefs, stats
 from ._numpy import np
-from .core import Imputation, Preference, project_runs
+from .core import Imputation, Preference, RankedList, RelevantPositions, project_and_impute
 from .errors import LexirankError, UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, evaluate
 
@@ -38,16 +38,19 @@ _DEFAULT_DEGRADE_METHODS = ("lexirecall", "metric:AP", "metric:recall@1000")
 
 
 def _load_runs(
-    paths: Sequence[str], corpus_size: int, depth: int | None = None
-) -> dict[str, dict[str, object]]:
+    paths: Sequence[str], corpus_size: int, depth: int | None = None, project: Callable | None = None
+) -> dict[str, object]:
     """Parse run files keyed by system tag; tag collisions fall back to stems.
 
     ``depth`` truncates every ranking to its top entries before projection,
-    which is how retrieval-depth studies are driven on real collections. The
-    files share one string per request and item id.
+    which is how retrieval-depth studies are driven on real collections.
+    Without ``project``, the files share one string per id and each tag maps
+    to its rankings. With it, each file's rankings go to ``project(tag,
+    rankings)`` and are dropped before the next file is parsed, and each tag
+    maps to the ids of the requests it ranks.
     """
-    runs: dict[str, dict[str, object]] = {}
-    ids: dict[str, str] = {}
+    runs: dict[str, object] = {}
+    ids: dict[str, str] | None = {} if project is None else None
     for path in paths:
         parsed = tables.parse_run_file(path, corpus_size, ids)
         if not parsed:
@@ -64,23 +67,55 @@ def _load_runs(
             tag = fallback
         if tag in runs:
             raise ValidationError(f"cannot disambiguate run tag {tag!r}")
+        if project is not None:
+            project(tag, parsed)
+            parsed = set(parsed)
         runs[tag] = parsed
+        del parsed  # not alive while the next file is parsed
     return runs
 
 
-def _load_collection(args) -> tuple[dict, dict[str, dict[str, object]], list[str]]:
+def _load_collection(
+    args, mode: Imputation | None = None, pairwise: bool = False
+) -> tuple[dict, dict, list[str]]:
     """The judgments, the runs and the sorted evaluable requests of a collection.
+
+    The qrels are parsed first. With a ``mode``, each run file is projected
+    as soon as it is parsed, and the runs are the vectors ``project_runs``
+    gives, per evaluable request and tag; without, each tag's rankings.
 
     Requests with no relevant item, ranked requests with no judgments and
     evaluable requests that a run does not rank are each reported once as a
     warning. A collection with no evaluable request is an error, and so is a
-    ``--depth`` below 1, which is checked before any file is read.
+    ``--depth`` below 1, which is checked before any file is read, and, if
+    ``pairwise``, one with fewer than two runs. Parse and tag errors come
+    first, in file order, then these, then the first cell that fails to
+    project in (request, run) order.
     """
     if args.depth is not None and args.depth < 1:
         raise ValidationError(f"depth must be positive, got {args.depth}")
     judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
-    runs = _load_runs(args.runs, args.corpus_size, args.depth)
     evaluable = sorted(q for q, j in judgments.items() if j.evaluable)
+    projected: dict[str, dict[str, RelevantPositions]] = {q: {} for q in evaluable}
+    # The first failed cell's request index and error. A later file's
+    # failure replaces it only at an earlier request.
+    failed_at, failure = len(evaluable), None
+
+    def project(tag: str, rankings: dict[str, RankedList]) -> None:
+        nonlocal failed_at, failure
+        for index, request_id in enumerate(evaluable[:failed_at]):
+            judgment, ranked = judgments[request_id], rankings.get(request_id)
+            try:
+                if ranked is None:
+                    vector = RelevantPositions.worst_case(judgment.m, args.corpus_size)
+                else:
+                    vector = project_and_impute(ranked, judgment, mode)
+            except LexirankError as exc:
+                failed_at, failure = index, exc
+                return
+            projected[request_id][tag] = vector
+
+    runs = _load_runs(args.runs, args.corpus_size, args.depth, None if mode is None else project)
     if not evaluable:
         raise ValidationError("no evaluable requests")
     if skipped := len(judgments) - len(evaluable):
@@ -89,7 +124,11 @@ def _load_collection(args) -> tuple[dict, dict[str, dict[str, object]], list[str
         logger.warning("%d ranked requests have no judgments", len(orphans))
     if missing := sum(q not in run for run in runs.values() for q in evaluable):
         logger.warning("%d missing run entries scored as empty rankings", missing)
-    return judgments, runs, evaluable
+    if pairwise and len(runs) < 2:
+        raise ValidationError(f"{args.command} needs at least two runs")
+    if failure is not None:
+        raise failure
+    return judgments, (runs if mode is None else projected), evaluable
 
 
 def _write_output(rows, columns, args) -> None:
@@ -110,9 +149,8 @@ def _metrics(args) -> list[MetricId]:
 
 def cmd_eval(args) -> int:
     metrics = _metrics(args)
-    judgments, runs, evaluable = _load_collection(args)
-    projected = project_runs(runs, judgments, evaluable, Imputation(args.imputation))
-    tags = sorted(runs)
+    _judgments, projected, evaluable = _load_collection(args, Imputation(args.imputation))
+    tags = sorted(projected[evaluable[0]])
     rows = [
         {
             "request_id": request_id,
@@ -137,11 +175,9 @@ def cmd_compare(args) -> int:
             "--hsd needs per-request scores; use a metric method such as metric:AP"
         )
     method_name, method_fn = prefs.make_method(method, tolerance=args.tolerance)
-    judgments, runs, evaluable = _load_collection(args)
-    if len(runs) < 2:
-        raise ValidationError("compare needs at least two runs")
-    tags = sorted(runs)
-    projected = project_runs(runs, judgments, evaluable, Imputation(args.imputation))
+    mode = Imputation(args.imputation)
+    _judgments, projected, evaluable = _load_collection(args, mode, pairwise=True)
+    tags = sorted(projected[evaluable[0]])
 
     is_metric_method = isinstance(method, MetricId)
     if is_metric_method or args.hsd:

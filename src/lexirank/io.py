@@ -12,12 +12,14 @@ Run files are parsed in bulk, in plain Python and without numpy. Each block
 of lines is split once, with every line end marked by a token of its own, so
 that one count shows whether every line has six fields; a block that fails
 it is split line by line, dropping blank lines. The columns are stride
-slices. Every item id, and each request id once, goes through a dict of the
-ids already read, which may span the files of a collection, so each id is
-held as one string however many lines name it: memory grows with the
-distinct ids, not with runs times requests times depth. Scores are converted
-with ``float``, and rank fields are compared as text with the positions and
-converted with ``int`` only in a request where they differ. Run files are
+slices. A caller that keeps the rankings of many files may pass a dict of
+the ids already read: every request and item id then goes through it, so
+each id is held as one string however many lines and files name it, and
+memory grows with the distinct ids, not with runs times requests times
+depth. Without one, ids are the strings the split made, and cost nothing
+beyond it. Scores are converted with ``float``, and rank fields are compared
+as text with the positions and converted with ``int`` only in a request
+where they differ. Run files are
 usually written as trec_eval reads them, each request's lines together in
 descending score order, so a request that is one run of lines with strictly
 decreasing scores is ranked as written: its ranking is a slice of the
@@ -95,17 +97,18 @@ def parse_run_file(
     reported. A ranking longer than ``corpus_size`` is a ``ValidationError``.
 
     ``ids`` maps each request and item id to the one string kept for it.
-    Every item id read, and each request id once, goes through it; pass one
-    dict to the files of a collection so that their rankings share one
-    string per id. ``None`` shares them within this file only.
+    Every request and item id read goes through it; pass one dict to the
+    files of a collection whose rankings are all kept, so that they share
+    one string per id. With ``None`` there is no dict: each id is the string
+    the split made, and equal ids of one file are not shared. That suits a
+    caller that projects each file's rankings and drops them.
 
     One bulk parse builds the rankings (see the module docstring); when it
     fails, ``_raise_at_bad_line`` only names the line.
     """
     if corpus_size < 1:
         raise ValidationError(f"corpus_size must be positive, got {corpus_size}")
-    keep = (ids if ids is not None else {}).setdefault
-    same = {}.setdefault  # one string per request of this file
+    keep = None if ids is None else ids.setdefault
     requests: list[str] = []
     items: list[str] = []
     rank_texts: list[str] = []
@@ -131,8 +134,12 @@ def parse_run_file(
                     tag = tags[0]
                 if tags.count(tag) != len(tags):
                     raise ValueError("a second system tag")
-                requests += map(same, tokens[0::7], tokens[0::7])
-                items += map(keep, tokens[2::7], tokens[2::7])
+                if keep is None:
+                    requests += tokens[0::7]
+                    items += tokens[2::7]
+                else:
+                    requests += map(keep, tokens[0::7], tokens[0::7])
+                    items += map(keep, tokens[2::7], tokens[2::7])
                 rank_texts += tokens[3::7]
                 scores += map(float, tokens[4::7])
         if not all(map(math.isfinite, scores)):
@@ -173,7 +180,6 @@ def parse_run_file(
             if ranked_texts != numerals[:depth]:  # int() also rejects a bad rank
                 positions = range(1, depth + 1)
                 rank_mismatches += sum(map(operator.ne, map(int, ranked_texts), positions))
-            request_id = keep(request_id, request_id)
             runs[request_id] = RankedList(request_id, ranked, corpus_size, tag)
     except (ValueError, ValidationError):  # UnicodeDecodeError is a ValueError
         _raise_at_bad_line(path)
@@ -197,9 +203,9 @@ def _check_numeral(text: str) -> str:
 
 def _runs_of_lines(requests: list[str]) -> dict[str, range] | None:
     """Each request's rows as one span, or ``None`` once a request starts a
-    second run of lines. ``requests`` holds one string object per request, so
-    a run ends where the object changes; the appended ``None`` ends the last."""
-    ends = compress(count(1), map(operator.is_not, requests, chain(islice(requests, 1, None), [None])))
+    second run of lines. A run ends where the request id changes; the
+    appended ``None`` ends the last."""
+    ends = compress(count(1), map(operator.ne, requests, chain(islice(requests, 1, None), [None])))
     spans = {}
     lo = 0
     for hi in ends:

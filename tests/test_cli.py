@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 import lexirank
 from lexirank import (
-    JudgmentSet, Preference, RankedList, degrade_judgments, make_method, project_runs,
+    Imputation, JudgmentSet, Preference, RankedList, degrade_judgments, make_method, project_runs,
 )
 from lexirank.analytics import stable_seed
-from lexirank.cli import _load_runs, main
+from lexirank.cli import _load_collection, _load_runs, build_parser, main
 
+import reference
 from conftest import interpreters_without_numpy, subprocess_env
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -155,6 +156,81 @@ class TestCollection:
             assert run_cli([*command, *argv]) == 1, command
             assert capsys.readouterr().err == "error: no evaluable requests\n"
             assert not out.exists()
+
+
+# Files of the load-order table. In a corpus of 3, ``ta`` ranks all three
+# items for q1 but not q1's relevant d4, a cell that cannot be imputed; ``ok``
+# projects, and ``q2deep`` ranks all three for q2 but neither of q2's relevant
+# d5 and d1, so its q2 cell cannot be imputed either.
+_LOAD_QRELS = "q1 0 d4 1\nq2 0 d5 1\nq2 0 d1 1\n"
+_LOAD_FILES = {
+    "ta": "q1 Q0 d1 1 3 ta\nq1 Q0 d2 2 2 ta\nq1 Q0 d3 3 1 ta\n",
+    "ok": "q1 Q0 d4 1 3 ok\nq2 Q0 d5 1 2 ok\n",
+    "malformed": "q1 Q0 d4 1 3 tb\nq1 Q0 d2 2\n",
+    "same-tag": "q1 Q0 d4 1 3 ta\n",
+    "q2deep": "q1 Q0 d4 1 3 tc\nq2 Q0 d2 1 3 tc\nq2 Q0 d3 2 2 tc\nq2 Q0 d4 3 1 tc\n",
+}
+
+
+_MISSING = "1 missing run entries scored as empty rankings"
+
+
+class TestLoadOrder:
+    """Errors of a collection load come in one order, whichever projects when:
+    parse and tag errors in file order, then the collection's warnings and
+    errors, then the first cell that fails to project in (request, run)
+    order."""
+
+    @pytest.mark.parametrize(
+        "files,command,warnings,error",
+        [
+            (["ta", "malformed"], ["eval"], [],
+             "expected 6 whitespace-separated fields, got 4 [{malformed}:2]"),
+            (["ta", "same-tag"], ["eval"], ["duplicate run tag 'ta'; using file stem 'ta'"],
+             "cannot disambiguate run tag 'ta'"),
+            (["ta", "ok"], ["eval"], [_MISSING],
+             "cannot impute 1 items below a prefix of 3 in a corpus of 3"),
+            (["q2deep", "ta"], ["eval"], [_MISSING],
+             "cannot impute 1 items below a prefix of 3 in a corpus of 3"),
+            (["ta"], ["compare"], [_MISSING], "compare needs at least two runs"),
+            (["ta", "ok"], ["eval", "--imputation", "optimistic"], [_MISSING],
+             "cannot place 1 items after a prefix of 3 in a corpus of 3"),
+        ],
+        ids=["parse-error", "tag-error", "projection", "request-order", "two-runs", "optimistic"],
+    )
+    def test_errors_keep_their_order(
+        self, tmp_path, capsys, caplog, files, command, warnings, error
+    ):
+        paths = {}
+        for name in files:
+            # The same-tag file's stem is the tag it repeats.
+            path = tmp_path / name / f"{'ta' if name == 'same-tag' else name}.txt"
+            path.parent.mkdir()
+            path.write_text(_LOAD_FILES[name])
+            paths[name] = path
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text(_LOAD_QRELS)
+        argv = [*command, "--qrels", qrels, "--corpus-size", "3", "--out", tmp_path / "x.tsv"]
+        for path in paths.values():
+            argv += ["--runs", path]
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(argv) == 1
+        assert [record.getMessage() for record in caplog.records] == warnings
+        assert capsys.readouterr().err == f"error: {error.format(**paths)}\n"
+        assert not (tmp_path / "x.tsv").exists()
+
+
+class TestLoader:
+    @settings(max_examples=60, deadline=None)
+    @given(reference.collections())
+    def test_vectors_projected_per_file_equal_project_runs(self, collection):
+        with tempfile.TemporaryDirectory() as work:
+            paths, _qrels, flags = reference.write(collection, work)
+            args = build_parser().parse_args(["eval", *flags])
+            mode = Imputation(args.imputation)
+            judgments, projected, evaluable = _load_collection(args, mode)
+            runs = _load_runs(paths, args.corpus_size, args.depth)
+        assert projected == project_runs(runs, judgments, evaluable, mode)
 
 
 class TestCompare:
@@ -723,7 +799,9 @@ def pair_cells(draw):
     )
     runs = {tag: {} for tag in tags}
     judgments = {}
-    for q in (f"q{i}" for i in range(draw(st.integers(1, 8)))):
+    # One request in a fixed share of examples: there a metric method has no
+    # paired t-test.
+    for q in (f"q{i}" for i in range(draw(st.just(1) | st.integers(2, 8)))):
         relevant = draw(st.sets(st.sampled_from(corpus), min_size=1, max_size=5))
         judgments[q] = JudgmentSet(q, relevant)
         pool = draw(st.lists(rankings, min_size=1, max_size=3))

@@ -456,12 +456,13 @@ class TestSharedIds:
                 for text in (key, request_id, *items):
                     assert kept.setdefault(text, text) is text
 
-    def test_without_a_dict_ids_are_shared_within_the_file(self, tmp_path):
+    def test_a_dict_shares_ids_within_the_file(self, tmp_path):
         path = tmp_path / "run.txt"
         path.write_text("q1 Q0 doc-1 1 2 t\nq2 Q0 doc-1 1 2 t\nq1 Q0 doc-2 2 1 t\n")
-        runs = parse_run_file(path, corpus_size=10)
-        assert runs["q1"].items[0] is runs["q2"].items[0]
-        assert next(iter(runs)) is runs["q1"].request_id
+        ids: dict[str, str] = {}
+        runs = parse_run_file(path, corpus_size=10, ids=ids)
+        assert runs["q1"].items[0] is runs["q2"].items[0] is ids["doc-1"]
+        assert next(iter(runs)) is runs["q1"].request_id is ids["q1"]
 
 
 class TestParseQrels:
