@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 # runs on first use (see ``_numpy.lazy_import``).
 from . import analytics, io as tables, prefs, stats
 from ._numpy import np
-from .core import Imputation, Preference, RankedList, RelevantPositions, project_and_impute
+from .core import Imputation, Preference, RankedList, RelevantPositions, _project_cell
 from .errors import LexirankError, UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, evaluate
 
@@ -104,12 +104,9 @@ def _load_collection(
     def project(tag: str, rankings: dict[str, RankedList]) -> None:
         nonlocal failed_at, failure
         for index, request_id in enumerate(evaluable[:failed_at]):
-            judgment, ranked = judgments[request_id], rankings.get(request_id)
+            ranked = rankings.get(request_id)
             try:
-                if ranked is None:
-                    vector = RelevantPositions.worst_case(judgment.m, args.corpus_size)
-                else:
-                    vector = project_and_impute(ranked, judgment, mode)
+                vector = _project_cell(ranked, judgments[request_id], args.corpus_size, mode)
             except LexirankError as exc:
                 failed_at, failure = index, exc
                 return
@@ -123,7 +120,10 @@ def _load_collection(
     if orphans := {q for run in runs.values() for q in run if q not in judgments}:
         logger.warning("%d ranked requests have no judgments", len(orphans))
     if missing := sum(q not in run for run in runs.values() for q in evaluable):
-        logger.warning("%d missing run entries scored as empty rankings", missing)
+        logger.warning(
+            "%d missing run entries scored with every relevant item at the bottom of the corpus",
+            missing,
+        )
     if pairwise and len(runs) < 2:
         raise ValidationError(f"{args.command} needs at least two runs")
     if failure is not None:
@@ -131,11 +131,10 @@ def _load_collection(
     return judgments, (runs if mode is None else projected), evaluable
 
 
-def _write_output(rows, columns, args) -> None:
-    if args.out == "-":
-        tables.write_table(rows, columns, sys.stdout, fmt=args.format)
-    else:
-        tables.write_table(rows, columns, args.out, fmt=args.format)
+def _write_output(rows: list[dict], args) -> None:
+    """Write ``rows`` to ``--out`` in ``--format``, columns in the first row's key order."""
+    destination = sys.stdout if args.out == "-" else args.out
+    tables.write_table(rows, list(rows[0]), destination, fmt=args.format)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -162,7 +161,7 @@ def cmd_eval(args) -> int:
         for tag in tags
         for metric in metrics
     ]
-    _write_output(rows, ["request_id", "run", "metric", "value"], args)
+    _write_output(rows, args)
     return 0
 
 
@@ -188,7 +187,6 @@ def cmd_compare(args) -> int:
         )
 
     pair_rows = []
-    p_values = []
     hsd_grid = stats.tukey_hsd(values) if args.hsd else None
     paired = len(evaluable) > 1
     if is_metric_method and not paired:
@@ -206,7 +204,6 @@ def cmd_compare(args) -> int:
             except UndefinedResultError:
                 logger.warning("no decisive requests for (%s, %s); p set to 1", tag_a, tag_b)
                 p = 1.0
-        p_values.append(p)
         row = {
             "run_a": tag_a,
             "run_b": tag_b,
@@ -217,29 +214,15 @@ def cmd_compare(args) -> int:
             "win_rate_a": (wins_a + ties / 2) / len(column),
             "p_value": p,
         }
-        if hsd_grid is not None:
-            row["p_hsd"] = float(hsd_grid[i, j])
         pair_rows.append(row)
 
-    adjusted = stats.holm_bonferroni(p_values)
-    for row, adj in zip(pair_rows, adjusted):
+    adjusted = stats.holm_bonferroni([row["p_value"] for row in pair_rows])
+    for (i, j), row, adj in zip(combinations(range(len(tags)), 2), pair_rows, adjusted):
         row["p_holm"] = adj
         row["significant"] = adj < args.alpha
-    columns = [
-        "run_a",
-        "run_b",
-        "method",
-        "wins_a",
-        "wins_b",
-        "ties",
-        "win_rate_a",
-        "p_value",
-        "p_holm",
-        "significant",
-    ]
-    if args.hsd:
-        columns.append("p_hsd")
-    _write_output(pair_rows, columns, args)
+        if hsd_grid is not None:
+            row["p_hsd"] = float(hsd_grid[i, j])
+    _write_output(pair_rows, args)
     return 0
 
 
@@ -269,7 +252,7 @@ def cmd_ties(args) -> int:
                         "tie_probability": float(prob),
                     }
                 )
-        _write_output(rows, ["D", "m", "metric", "tie_probability"], args)
+        _write_output(rows, args)
         return 0
     m_values = _m_values(args)
     lo, hi = m_values[0], m_values[-1]
@@ -300,9 +283,7 @@ def cmd_ties(args) -> int:
         }
         for name, value in fractions.items()
     ]
-    _write_output(
-        rows, ["D", "m_lo", "m_hi", "retrieval_depth", "method", "tie_fraction"], args
-    )
+    _write_output(rows, args)
     return 0
 
 
@@ -333,7 +314,7 @@ def cmd_simulate_agreement(args) -> int:
             rows.append(
                 {"D": D, "metric": label, "agreement": agreement, "tied_fraction": tied}
             )
-    _write_output(rows, ["D", "metric", "agreement", "tied_fraction"], args)
+    _write_output(rows, args)
     return 0
 
 
@@ -352,9 +333,7 @@ def cmd_orientation(args) -> int:
                     "recall_orientation": recall,
                 }
             )
-    _write_output(
-        rows, ["D", "m", "metric", "precision_orientation", "recall_orientation"], args
-    )
+    _write_output(rows, args)
     return 0
 
 
@@ -395,9 +374,7 @@ def cmd_degrade(args) -> int:
         tolerance=args.tolerance,
         mode=Imputation(args.imputation),
     )
-    _write_output(
-        rows, ["fraction", "method", "tie_fraction", "agreement_with_full"], args
-    )
+    _write_output(rows, args)
     return 0
 
 

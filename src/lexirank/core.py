@@ -168,10 +168,7 @@ class RelevantPositions(Record):
             pos = tuple(map(operator.index, positions))
         except TypeError as exc:
             raise ValidationError(f"positions must be integers: {exc}") from None
-        try:
-            D = operator.index(corpus_size)
-        except TypeError as exc:
-            raise ValidationError(f"corpus_size must be an integer: {exc}") from None
+        D = _integer(corpus_size, "corpus_size")
         if D < 1:
             raise ValidationError(f"corpus_size must be positive, got {D}")
         if pos and not (pos[0] > 0 and all(map(operator.lt, pos, pos[1:]))):
@@ -201,9 +198,9 @@ class RelevantPositions(Record):
         positions of the corpus. With nothing retrieved this scores a run
         that is missing a request entirely. It is the one place the
         pessimistic tail is built: a slice of the bottom block, the last
-        ``m`` positions, which is kept for the last ``(m, corpus_size)``
-        asked for, so the vectors of one request, built one after another,
-        share its ints.
+        ``m`` positions, which is kept per ``(m, corpus_size)``, so the
+        vectors of one request share its ints in whatever order they are
+        built.
         """
         if not 1 <= m <= corpus_size:
             raise ValidationError(f"need 1 <= m <= corpus_size, got m={m}, D={corpus_size}")
@@ -211,7 +208,7 @@ class RelevantPositions(Record):
         return cls((*retrieved, *tail), corpus_size)
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=1024)  # bounded for callers that sweep many m
 def _bottom_block(m: int, corpus_size: int) -> tuple[int, ...]:
     """The last ``m`` positions of a corpus of ``corpus_size``, in order."""
     return tuple(range(corpus_size - m + 1, corpus_size + 1))
@@ -368,6 +365,17 @@ def project_and_impute(
     return RelevantPositions((*ranks, *range(k + 1, k + missing + 1)), D)
 
 
+def _project_cell(
+    ranked: RankedList | None, judgment: JudgmentSet, corpus_size: int, mode: Imputation
+) -> RelevantPositions:
+    """One (request, run) cell's vector: ``project_and_impute`` of a ranking.
+    A run that does not rank the request (``ranked`` is ``None``) is scored
+    with every relevant item at the bottom of the corpus, under either imputation."""
+    if ranked is None:
+        return RelevantPositions.worst_case(judgment.m, corpus_size)
+    return project_and_impute(ranked, judgment, mode)
+
+
 def project_runs(
     runs: Mapping[str, Mapping[str, RankedList]],
     judgments: Mapping[str, JudgmentSet],
@@ -378,21 +386,16 @@ def project_runs(
 
     ``runs`` maps run tags to per-request rankings and ``requests`` names
     evaluable requests of ``judgments``. A run with no ranking for a request
-    is scored as an empty ranking, every relevant item imputed to the bottom.
+    is scored with every relevant item at the bottom of the corpus.
     """
     corpus_sizes = {rl.corpus_size for run in runs.values() for rl in run.values()}
     if len(corpus_sizes) != 1:
         raise ValidationError(f"runs disagree on corpus_size: {sorted(corpus_sizes)}")
     (D,) = corpus_sizes
-    out: dict[str, dict[str, RelevantPositions]] = {}
-    for request_id in requests:
-        judgment = judgments[request_id]
-        per_run: dict[str, RelevantPositions] = {}
-        for tag, run in runs.items():
-            ranked = run.get(request_id)
-            if ranked is None:
-                per_run[tag] = RelevantPositions.worst_case(judgment.m, D)
-            else:
-                per_run[tag] = project_and_impute(ranked, judgment, mode)
-        out[request_id] = per_run
-    return out
+    return {
+        request_id: {
+            tag: _project_cell(run.get(request_id), judgments[request_id], D, mode)
+            for tag, run in runs.items()
+        }
+        for request_id in requests
+    }

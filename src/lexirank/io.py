@@ -19,12 +19,12 @@ memory grows with the distinct ids, not with runs times requests times
 depth. Without one, ids are the strings the split made, and cost nothing
 beyond it. Scores are converted with ``float``, and rank fields are compared
 as text with the positions and converted with ``int`` only in a request
-where they differ. Run files are
-usually written as trec_eval reads them, each request's lines together in
-descending score order, so a request that is one run of lines with strictly
-decreasing scores is ranked as written: its ranking is a slice of the
-columns. If a request has two runs of lines, one stable sort groups the
-lines by request. A request not ranked as written is sorted by score, with
+where they differ. Run files are usually written as trec_eval reads them,
+each request's lines together in descending score order, so a request that
+is one run of lines with strictly decreasing scores is ranked as written:
+its ranking is a slice of the columns. If a request has two runs of lines,
+one pass over the request column groups the rows in a dict of lists, one
+list per request. A request not ranked as written is sorted by score, with
 item ids breaking ties only where scores are equal. ``RankedList`` refuses a
 repeated item and a ranking longer than the corpus. Every way this can fail
 ends in one handler, which reads the file again with a check-only line loop
@@ -41,7 +41,6 @@ import operator
 import os
 import re
 import stat
-from collections import Counter
 from itertools import chain, compress, count, islice
 from pathlib import Path
 from typing import IO, Callable, Iterable, Mapping, Sequence
@@ -144,17 +143,7 @@ def parse_run_file(
                 scores += map(float, tokens[4::7])
         if not all(map(math.isfinite, scores)):
             raise ValueError("a non-finite score")
-        groups = _runs_of_lines(requests)
-        if groups is None:
-            # Requests interleaved: row indices grouped by request, requests
-            # in order of first appearance.
-            lines_per_request = Counter(requests)
-            code = dict(zip(lines_per_request, range(len(lines_per_request))))
-            order = sorted(range(len(requests)), key=list(map(code.__getitem__, requests)).__getitem__)
-            groups, hi = {}, 0
-            for request_id, lines in lines_per_request.items():
-                lo, hi = hi, hi + lines
-                groups[request_id] = order[lo:hi]
+        groups = _rows_by_request(requests)
         # The rank fields of a request that agree with its order, as usually written.
         numerals = list(map(str, range(1, max(map(len, groups.values()), default=0) + 1)))
         for request_id, rows in groups.items():
@@ -193,6 +182,15 @@ def parse_run_file(
     return runs
 
 
+def _fields(line: str, expected: int, path: str, number: int) -> list[str]:
+    """The whitespace-separated fields of a line that must have ``expected``."""
+    fields = line.split()
+    if len(fields) != expected:
+        message = f"expected {expected} whitespace-separated fields, got {len(fields)}"
+        raise ParseError(message, path=path, line=number) from None
+    return fields
+
+
 def _check_numeral(text: str) -> str:
     """``text``, if it is ASCII with no ``_``. ``int`` and ``float`` also read
     ``1_0`` and other scripts' digits, which trec_eval does not."""
@@ -201,19 +199,23 @@ def _check_numeral(text: str) -> str:
     return text
 
 
-def _runs_of_lines(requests: list[str]) -> dict[str, range] | None:
-    """Each request's rows as one span, or ``None`` once a request starts a
-    second run of lines. A run ends where the request id changes; the
-    appended ``None`` ends the last."""
+def _rows_by_request(requests: list[str]) -> dict[str, range | list[int]]:
+    """Each request's rows in file order, requests in order of first
+    appearance: a span each while every request is one run of lines, else a
+    list each, built in one pass. A run ends where the request id changes;
+    the appended ``None`` ends the last."""
     ends = compress(count(1), map(operator.ne, requests, chain(islice(requests, 1, None), [None])))
-    spans = {}
+    groups = {}
     lo = 0
     for hi in ends:
-        if requests[lo] in spans:
-            return None
-        spans[requests[lo]] = range(lo, hi)
+        if requests[lo] in groups:  # a second run of lines
+            lists: dict[str, list[int]] = {}
+            for row, request_id in enumerate(requests):
+                lists.setdefault(request_id, []).append(row)
+            return lists
+        groups[requests[lo]] = range(lo, hi)
         lo = hi
-    return spans
+    return groups
 
 
 def _block_fields(text: str) -> list[str]:
@@ -252,14 +254,7 @@ def _raise_at_bad_line(path: str | Path) -> None:
     seen: set[tuple[str, str]] = set()
     system_tag: str | None = None
     for number, line in _read_lines(path):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError(
-                f"expected 6 whitespace-separated fields, got {len(fields)}",
-                path=spath,
-                line=number,
-            ) from None
-        request_id, _q0, item_id, rank_text, score_text, tag = fields
+        request_id, _q0, item_id, rank_text, score_text, tag = _fields(line, 6, spath, number)
         try:
             int(_check_numeral(rank_text))
             score = float(_check_numeral(score_text))
@@ -305,14 +300,7 @@ def parse_qrels(
     grades: dict[str, dict[str, int]] = {}
     duplicates = 0
     for number, line in _read_lines(path):
-        fields = line.split()
-        if len(fields) != 4:
-            raise ParseError(
-                f"expected 4 whitespace-separated fields, got {len(fields)}",
-                path=spath,
-                line=number,
-            )
-        request_id, _iteration, item_id, grade_text = fields
+        request_id, _iteration, item_id, grade_text = _fields(line, 4, spath, number)
         try:
             grade = int(_check_numeral(grade_text))
         except ValueError as exc:

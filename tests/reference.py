@@ -1,10 +1,13 @@
-"""A second implementation of ``eval`` and ``compare``, from the definitions.
+"""A second implementation of ``eval``, ``compare`` and ``degrade``, from the
+definitions.
 
 It reads run files and qrels with its own readers and projects each
 (request, run) cell by scanning the ranking, in plain loops. It imports
 neither ``lexirank.io`` nor ``lexirank.core``: from lexirank it takes only
 the scoring, preference and test functions, which are pinned elsewhere,
-and applies them to the vectors its callers build from ``cells``.
+and applies them to the vectors its callers build from ``project``; and
+``degrade_judgments``, which draws ``degrade``'s label samples from a
+relevant set.
 
 - A ranking orders a request's lines by descending score, equal scores by
   item id; ``depth`` keeps its first entries.
@@ -13,8 +16,11 @@ and applies them to the vectors its callers build from ``cells``.
 - Retrieved relevant items keep their ranks. Pessimistic imputation puts
   the others at the last positions of the corpus, optimistic imputation
   directly below the retrieved prefix.
-- A run that does not rank a request puts every relevant item at the
-  bottom of the corpus, whichever the imputation.
+- A run that does not rank a request is scored with every relevant item at
+  the bottom of the corpus, whichever the imputation.
+- ``degrade`` re-judges each request of each sample with
+  ``degrade_judgments(..., fraction, stable_seed(seed, sample, request))``
+  and projects the rankings again against the labels left.
 
 ``collections`` draws small collections to check the commands against it.
 """
@@ -27,7 +33,8 @@ from pathlib import Path
 import numpy as np
 from hypothesis import strategies as st
 
-from lexirank import prefs, stats
+from lexirank import JudgmentSet, prefs, stats
+from lexirank.analytics import degrade_judgments, stable_seed
 from lexirank.errors import UndefinedResultError
 from lexirank.metrics import MetricId, evaluate
 
@@ -91,20 +98,29 @@ def positions(items: list[str] | None, relevant: set[str], corpus_size: int, mod
     return tuple(ranks)
 
 
-def cells(run_paths, qrels_path, corpus_size, threshold=1, depth=None, mode="pessimistic"):
-    """The sorted run tags, the sorted evaluable requests, and the positions
-    of each (request, tag) cell."""
+def read_collection(run_paths, qrels_path, threshold=1, depth=None):
+    """Each judged request's relevant items, the sorted evaluable requests,
+    the sorted run tags, and the ranking of each (request, tag) cell, ``None``
+    where the run does not rank the request."""
     relevant = read_qrels(qrels_path, threshold)
     evaluable = sorted(q for q in relevant if relevant[q])
     runs = dict(read_run(path) for path in run_paths)
     tags = sorted(runs)
-    out = {}
+    rankings = {}
     for request_id in evaluable:
         for tag in tags:
             lines = runs[tag].get(request_id)
-            items = None if lines is None else ranking(lines, depth)
-            out[request_id, tag] = positions(items, relevant[request_id], corpus_size, mode)
-    return tags, evaluable, out
+            rankings[request_id, tag] = None if lines is None else ranking(lines, depth)
+    return relevant, evaluable, tags, rankings
+
+
+def project(rankings, relevant, corpus_size: int, mode: str) -> dict:
+    """The positions of each (request, tag) cell of ``rankings`` against the
+    relevant items of its request."""
+    out = {}
+    for (request_id, tag), items in rankings.items():
+        out[request_id, tag] = positions(items, relevant[request_id], corpus_size, mode)
+    return out
 
 
 def eval_rows(vectors, tags, evaluable, metrics: list[MetricId]) -> list[dict]:
@@ -158,6 +174,45 @@ def compare_rows(vectors, tags, evaluable, method: str, corpus_size: int, tolera
     for row, p_holm in zip(rows, adjusted):
         row["p_holm"] = p_holm
         row["significant"] = p_holm < alpha
+    return rows
+
+
+def degrade_rows(vectors_of, relevant, evaluable, tags, fractions, methods, corpus_size: int,
+                 samples: int, seed: int, tolerance: float) -> list[dict]:
+    """``degrade``'s rows. ``vectors_of`` maps each request's relevant items to
+    the vector of each (request, tag) cell; ``relevant`` holds the full labels."""
+    resolved = [prefs.make_method(prefs.parse_method(method, corpus_size), tolerance=tolerance)
+                for method in methods]
+
+    def preferences(vectors, prefer):
+        return [prefer(vectors[q, a], vectors[q, b])
+                for q in evaluable for a, b in combinations(tags, 2)]
+
+    full = vectors_of(relevant)
+    rows = []
+    for fraction in fractions:
+        ties = [0.0] * len(resolved)
+        agree = [0.0] * len(resolved)
+        for sample in range(samples):
+            labels = {}
+            for q in evaluable:
+                judged = JudgmentSet(q, relevant[q])
+                kept = degrade_judgments(judged, fraction, stable_seed(seed, sample, q))
+                labels[q] = set(kept.relevant_ids)
+            degraded = vectors_of(labels)
+            for index, (_name, prefer) in enumerate(resolved):
+                before, after = preferences(full, prefer), preferences(degraded, prefer)
+                tied = strict = agreed = 0
+                for was, now in zip(before, after):
+                    tied += now is prefs.Preference.TIE
+                    if was is not prefs.Preference.TIE:
+                        strict += 1
+                        agreed += now is was
+                ties[index] += tied / len(after)
+                agree[index] += agreed / strict if strict else 1.0
+        for (name, _prefer), tied, agreed in zip(resolved, ties, agree):
+            rows.append({"fraction": fraction, "method": name, "tie_fraction": tied / samples,
+                         "agreement_with_full": agreed / samples})
     return rows
 
 
@@ -238,7 +293,8 @@ def write(collection, directory) -> tuple[list[str], str, list[str]]:
 
 
 def options(collection) -> dict:
-    """The keyword arguments of ``cells`` that a drawn collection's flags set."""
+    """The corpus size, threshold, depth and imputation that a drawn
+    collection's flags set."""
     flags = collection[2]
     values = dict(zip(flags[::2], flags[1::2]))
     depth = values.get("--depth")

@@ -3,6 +3,7 @@
 import ast
 import json
 import logging
+import operator
 import subprocess
 import sys
 import tempfile
@@ -106,18 +107,23 @@ class TestEval:
     def test_optimistic_imputation_flag(self, tmp_path):
         # sysB retrieves 2 of 3 for q1 in a 10-deep list; the optimistic
         # placement at rank 11 scores far above the pessimistic bottom.
+        # sysC does not rank q5 (m = 3): under either imputation its relevant
+        # items take positions 48-50 of 50, not ranks 1-3 of an empty ranking.
         values = {}
         for mode in ("pessimistic", "optimistic"):
             out = tmp_path / f"{mode}.tsv"
             code = run_cli(
-                ["eval", *data_args(out), "--metric", "TSE", "--imputation", mode]
+                ["eval", *data_args(out), "--metric", "TSE", "--metric", "AP", "--imputation", mode]
             )
             assert code == 0
             for line in out.read_text().splitlines()[1:]:
-                request_id, run, _metric, value = line.split("\t")
-                values[(mode, request_id, run)] = float(value)
-        assert values[("optimistic", "q1", "sysB")] == pytest.approx(1 / 11)
-        assert values[("pessimistic", "q1", "sysB")] == pytest.approx(1 / 50)
+                request_id, run, metric, value = line.split("\t")
+                values[(mode, request_id, run, metric)] = value
+        assert float(values[("optimistic", "q1", "sysB", "TSE")]) == pytest.approx(1 / 11)
+        assert float(values[("pessimistic", "q1", "sysB", "TSE")]) == pytest.approx(1 / 50)
+        for mode in ("pessimistic", "optimistic"):
+            assert values[(mode, "q5", "sysC", "TSE")] == "0.02"
+            assert values[(mode, "q5", "sysC", "AP")] == "0.0405499"
 
 
 class TestCollection:
@@ -134,7 +140,8 @@ class TestCollection:
         expected = [
             "warning: skipped 1 requests with no relevant items",
             "warning: 1 ranked requests have no judgments",
-            "warning: 1 missing run entries scored as empty rankings",
+            "warning: 1 missing run entries scored with every relevant item at the bottom"
+            " of the corpus",
         ]
         for command in self.COMMANDS:
             proc = subprocess.run(
@@ -172,7 +179,7 @@ _LOAD_FILES = {
 }
 
 
-_MISSING = "1 missing run entries scored as empty rankings"
+_MISSING = "1 missing run entries scored with every relevant item at the bottom of the corpus"
 
 
 class TestLoadOrder:
@@ -231,6 +238,23 @@ class TestLoader:
             judgments, projected, evaluable = _load_collection(args, mode)
             runs = _load_runs(paths, args.corpus_size, args.depth)
         assert projected == project_runs(runs, judgments, evaluable, mode)
+
+    def test_vectors_of_a_request_share_their_tail_ints(self, tmp_path):
+        # Files are projected one after another, so the cells of q1 are built
+        # with q2's between them; positions above 256 are not cached ints.
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 r1 1\nq1 0 r2 1\nq2 0 r3 1\nq2 0 r4 1\nq2 0 r5 1\n")
+        argv = ["eval", "--qrels", str(qrels), "--corpus-size", "1000"]
+        for tag in ("ta", "tb"):
+            run = tmp_path / f"{tag}.txt"
+            run.write_text(f"q1 Q0 x1 1 2 {tag}\nq2 Q0 x2 1 2 {tag}\n")
+            argv += ["--runs", str(run)]
+        args = build_parser().parse_args(argv)
+        _judgments, projected, _evaluable = _load_collection(args, Imputation.PESSIMISTIC)
+        for request_id in ("q1", "q2"):
+            a, b = projected[request_id]["ta"].positions, projected[request_id]["tb"].positions
+            assert a == b and a[0] > 256
+            assert all(map(operator.is_, a, b))
 
 
 class TestCompare:

@@ -167,8 +167,10 @@ def _run_lines(draw, ascii_only: bool) -> list[list[str]]:
 # interleaved); grouped by request in order of first appearance; grouped and
 # sorted by descending score, equal scores (0.0 and -0.0 among them) left in
 # drawn order, so that a request without ties is already ranked; and grouped
-# and sorted with one request split into two runs of lines.
-_ARRANGEMENTS = ["drawn", "grouped", "score-sorted", "split"]
+# and sorted with one request split into two, or three, runs of lines with
+# other requests' lines between them. Drawn lines rarely hold a request in
+# three runs.
+_ARRANGEMENTS = ["drawn", "grouped", "score-sorted", "split", "split-twice"]
 
 
 def _arrange(draw, rows: list[list[str]], arrangement: str) -> list[list[str]]:
@@ -181,13 +183,19 @@ def _arrange(draw, rows: list[list[str]], arrangement: str) -> list[list[str]]:
     if arrangement == "grouped":
         return sorted(rows, key=lambda fields: first[fields[0]])
     rows = sorted(rows, key=lambda fields: (first[fields[0]], -float(fields[4])))
-    splittable = [q for q in first if sum(fields[0] == q for fields in rows) > 1]
-    if arrangement == "score-sorted" or len(first) < 2 or not splittable:
+    runs = 3 if arrangement == "split-twice" else 2
+    lines = {q: sum(fields[0] == q for fields in rows) for q in first}
+    splittable = [q for q in first if lines[q] >= runs and len(rows) - lines[q] >= runs - 1]
+    if arrangement == "score-sorted" or not splittable:
         return rows
     request = draw(st.sampled_from(splittable))
     own = [fields for fields in rows if fields[0] == request]
-    cut = draw(st.integers(1, len(own) - 1))
-    return own[:cut] + [fields for fields in rows if fields[0] != request] + own[cut:]
+    others = [fields for fields in rows if fields[0] != request]
+    cuts = sorted(draw(st.sets(st.integers(1, len(own) - 1), min_size=runs - 1, max_size=runs - 1)))
+    if runs == 2:
+        return own[: cuts[0]] + others + own[cuts[0] :]
+    gap = draw(st.integers(1, len(others) - 1))
+    return own[: cuts[0]] + others[:gap] + own[cuts[0] : cuts[1]] + others[gap:] + own[cuts[1] :]
 
 
 @st.composite
