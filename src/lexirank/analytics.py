@@ -160,8 +160,9 @@ def tie_probability(
             k = operator.index(k)
         except TypeError as exc:
             raise ValidationError(f"recall@k needs an integer k: {exc}") from None
-        if not 1 <= k <= corpus_size:
-            raise ValidationError(f"need 1 <= k <= corpus_size, got k={k}, D={corpus_size}")
+        if k < 1:
+            raise ValidationError(f"recall@k needs k >= 1, got {k}")
+        k = min(k, corpus_size)  # recall@k at k >= D is recall@D
     num = sum(
         math.comb(k, i) ** 2 * math.comb(corpus_size - k, m - i) ** 2
         for i in range(0, m + 1)
@@ -409,6 +410,10 @@ def orientation(
     if metric.kind is MetricKind.TSE:
         lower = metric.exposure.at(D)
         upper = metric.exposure.at(m)
+        if upper == lower:
+            raise UndefinedResultError(
+                f"{metric.label} has no orientation at m={m}: its exposure at m and D={D} is equal"
+            )
         values = [(v - lower) / (upper - lower) for v in values]
     sign = 1.0 if metric.higher_is_better else -1.0
     return sign * (values[0] - values[1]), sign * (values[2] - values[3])

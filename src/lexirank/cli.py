@@ -7,8 +7,8 @@ preferences with significance), ``ties`` (analytic or empirical tie rates),
 (label-removal stability). Every seeded subcommand is byte-identical across
 repeated invocations, and output order never depends on the order of
 ``--runs``. ``eval``, ``compare`` and ``degrade`` read a collection through
-one loader. Every warning goes through ``logging``, and ``main`` prints each
-as one ``warning: `` line on stderr.
+one function, ``_load_collection``. Every warning goes through ``logging``,
+and ``main`` prints each as one ``warning: `` line on stderr.
 """
 
 from __future__ import annotations
@@ -19,13 +19,13 @@ import math
 import sys
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 # Modules that not every command runs are reached as attributes, so each
 # runs on first use (see ``_numpy.lazy_import``).
 from . import analytics, io as tables, prefs, stats
 from ._numpy import np
-from .core import Imputation, Preference, RankedList, RelevantPositions, _project_cell
+from .core import Imputation, Preference, RelevantPositions, _project_cell
 from .errors import LexirankError, UndefinedResultError, ValidationError, check_distinct
 from .metrics import MetricId, evaluate
 
@@ -37,52 +37,20 @@ _DEFAULT_ORIENTATION_METRICS = ("RR", "NDCG", "AP", "recall@1000", "RPrecision",
 _DEFAULT_DEGRADE_METHODS = ("lexirecall", "metric:AP", "metric:recall@1000")
 
 
-def _load_runs(
-    paths: Sequence[str], corpus_size: int, depth: int | None = None, project: Callable | None = None
-) -> dict[str, object]:
-    """Parse run files keyed by system tag; tag collisions fall back to stems.
-
-    ``depth`` truncates every ranking to its top entries before projection,
-    which is how retrieval-depth studies are driven on real collections.
-    Without ``project``, the files share one string per id and each tag maps
-    to its rankings. With it, each file's rankings go to ``project(tag,
-    rankings)`` and are dropped before the next file is parsed, and each tag
-    maps to the ids of the requests it ranks.
-    """
-    runs: dict[str, object] = {}
-    ids: dict[str, str] | None = {} if project is None else None
-    for path in paths:
-        parsed = tables.parse_run_file(path, corpus_size, ids)
-        if not parsed:
-            raise ValidationError(f"run file {path} is empty")
-        if depth is not None:
-            parsed = {
-                request_id: ranked._replace(items=ranked.items[:depth])
-                for request_id, ranked in parsed.items()
-            }
-        tag = next(iter(parsed.values())).system_tag or Path(path).stem
-        if tag in runs:
-            fallback = Path(path).stem
-            logger.warning("duplicate run tag %r; using file stem %r", tag, fallback)
-            tag = fallback
-        if tag in runs:
-            raise ValidationError(f"cannot disambiguate run tag {tag!r}")
-        if project is not None:
-            project(tag, parsed)
-            parsed = set(parsed)
-        runs[tag] = parsed
-        del parsed  # not alive while the next file is parsed
-    return runs
-
-
 def _load_collection(
     args, mode: Imputation | None = None, pairwise: bool = False
 ) -> tuple[dict, dict, list[str]]:
     """The judgments, the runs and the sorted evaluable requests of a collection.
 
-    The qrels are parsed first. With a ``mode``, each run file is projected
-    as soon as it is parsed, and the runs are the vectors ``project_runs``
-    gives, per evaluable request and tag; without, each tag's rankings.
+    The qrels are parsed first, then each ``--runs`` file in turn, keyed by
+    its system tag; a tag already taken falls back to the file's stem.
+    ``--depth`` truncates every ranking to its top entries before projection,
+    which is how retrieval-depth studies are driven on real collections.
+    With a ``mode``, each file's evaluable cells are projected as soon as it
+    is parsed and its rankings are dropped before the next file is read; the
+    runs are then the vectors ``project_runs`` gives, per evaluable request
+    and tag. Without, the files share one string per id and the runs are each
+    tag's rankings.
 
     Requests with no relevant item, ranked requests with no judgments and
     evaluable requests that a run does not rank are each reported once as a
@@ -97,22 +65,38 @@ def _load_collection(
     judgments = tables.parse_qrels(args.qrels, args.binarize_threshold)
     evaluable = sorted(q for q, j in judgments.items() if j.evaluable)
     projected: dict[str, dict[str, RelevantPositions]] = {q: {} for q in evaluable}
+    runs: dict[str, object] = {}
+    ids: dict[str, str] | None = {} if mode is None else None
     # The first failed cell's request index and error. A later file's
     # failure replaces it only at an earlier request.
     failed_at, failure = len(evaluable), None
-
-    def project(tag: str, rankings: dict[str, RankedList]) -> None:
-        nonlocal failed_at, failure
-        for index, request_id in enumerate(evaluable[:failed_at]):
-            ranked = rankings.get(request_id)
-            try:
-                vector = _project_cell(ranked, judgments[request_id], args.corpus_size, mode)
-            except LexirankError as exc:
-                failed_at, failure = index, exc
-                return
-            projected[request_id][tag] = vector
-
-    runs = _load_runs(args.runs, args.corpus_size, args.depth, None if mode is None else project)
+    for path in args.runs:
+        parsed = tables.parse_run_file(path, args.corpus_size, ids)
+        if not parsed:
+            raise ValidationError(f"run file {path} is empty")
+        if args.depth is not None:
+            parsed = {
+                request_id: ranked._replace(items=ranked.items[: args.depth])
+                for request_id, ranked in parsed.items()
+            }
+        tag = next(iter(parsed.values())).system_tag or Path(path).stem
+        if tag in runs:
+            fallback = Path(path).stem
+            logger.warning("duplicate run tag %r; using file stem %r", tag, fallback)
+            tag = fallback
+        if tag in runs:
+            raise ValidationError(f"cannot disambiguate run tag {tag!r}")
+        if mode is not None:
+            for index, request_id in enumerate(evaluable[:failed_at]):
+                try:
+                    projected[request_id][tag] = _project_cell(
+                        parsed.get(request_id), judgments[request_id], args.corpus_size, mode
+                    )
+                except LexirankError as exc:
+                    failed_at, failure = index, exc
+                    break
+        runs[tag] = parsed if mode is None else set(parsed)
+        del parsed  # not alive while the next file is parsed
     if not evaluable:
         raise ValidationError("no evaluable requests")
     if skipped := len(judgments) - len(evaluable):
@@ -139,15 +123,15 @@ def _write_output(rows: list[dict], args) -> None:
 
 # --- subcommands -------------------------------------------------------------
 
-def _metrics(args) -> list[MetricId]:
-    """The ``--metric`` ids, each label at most once."""
-    metrics = [MetricId.parse(text, args.corpus_size) for text in args.metric]
+def _metrics(args, default: Sequence[str]) -> list[MetricId]:
+    """The ``--metric`` ids, or the ``default`` ones, each label at most once."""
+    metrics = [MetricId.parse(text, args.corpus_size) for text in args.metric or default]
     check_distinct([metric.label for metric in metrics], "metric")
     return metrics
 
 
 def cmd_eval(args) -> int:
-    metrics = _metrics(args)
+    metrics = _metrics(args, _DEFAULT_EVAL_METRICS)
     _judgments, projected, evaluable = _load_collection(args, Imputation(args.imputation))
     tags = sorted(projected[evaluable[0]])
     rows = [
@@ -187,10 +171,12 @@ def cmd_compare(args) -> int:
         )
 
     pair_rows = []
-    hsd_grid = stats.tukey_hsd(values) if args.hsd else None
     paired = len(evaluable) > 1
     if is_metric_method and not paired:
         logger.warning("one evaluable request: no paired t-test; p set to 1")
+    if args.hsd and not paired:
+        logger.warning("one evaluable request: no Tukey HSD; p_hsd set to 1")
+    hsd_grid = stats.tukey_hsd(values) if args.hsd and paired else None
     preferences = prefs.run_pair_preferences(method_fn, projected, evaluable, tags)
     outcomes = Preference.FIRST, Preference.SECOND, Preference.TIE
     for (i, j), column in zip(combinations(range(len(tags)), 2), zip(*preferences)):
@@ -220,8 +206,8 @@ def cmd_compare(args) -> int:
     for (i, j), row, adj in zip(combinations(range(len(tags)), 2), pair_rows, adjusted):
         row["p_holm"] = adj
         row["significant"] = adj < args.alpha
-        if hsd_grid is not None:
-            row["p_hsd"] = float(hsd_grid[i, j])
+        if args.hsd:
+            row["p_hsd"] = 1.0 if hsd_grid is None else float(hsd_grid[i, j])
     _write_output(pair_rows, args)
     return 0
 
@@ -293,7 +279,7 @@ def cmd_simulate_agreement(args) -> int:
     for D in args.corpus_size:
         metrics: list[str | MetricId] = [
             "random" if text.lower() == "random" else MetricId.parse(text, D)
-            for text in args.metric
+            for text in args.metric or _DEFAULT_AGREEMENT_METRICS
         ]
         labels = [metric if isinstance(metric, str) else metric.label for metric in metrics]
         check_distinct(labels, "metric")
@@ -319,7 +305,7 @@ def cmd_simulate_agreement(args) -> int:
 
 
 def cmd_orientation(args) -> int:
-    metrics = _metrics(args)
+    metrics = _metrics(args, _DEFAULT_ORIENTATION_METRICS)
     rows = []
     for m in _m_range(args):
         for metric in metrics:
@@ -353,7 +339,8 @@ def cmd_degrade(args) -> int:
         if not 0.0 <= fraction < 1.0:
             raise ValidationError(f"fractions must lie in [0, 1), got {fraction}")
     check_distinct(fractions, "fraction")
-    methods = [prefs.parse_method(method, args.corpus_size) for method in args.method]
+    texts = args.method or _DEFAULT_DEGRADE_METHODS
+    methods = [prefs.parse_method(text, args.corpus_size) for text in texts]
     analytics._resolve_methods(methods, args.tolerance)
     # Each fraction labels its rows, so no two may print alike in a TSV cell.
     cell_text = tables._cell_formatter(float)
@@ -363,7 +350,7 @@ def cmd_degrade(args) -> int:
         first = printed.setdefault(text, spelling)
         if first != spelling:
             raise ValidationError(f"fractions {first} and {spelling} both print as {text}")
-    judgments, runs, _evaluable = _load_collection(args)
+    judgments, runs, _evaluable = _load_collection(args, pairwise=True)
     rows = analytics.degradation_study(
         runs,
         judgments,
@@ -469,14 +456,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING, format="warning: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "eval" and not args.metric:
-        args.metric = list(_DEFAULT_EVAL_METRICS)
-    if args.command == "simulate-agreement" and not args.metric:
-        args.metric = list(_DEFAULT_AGREEMENT_METRICS)
-    if args.command == "orientation" and not args.metric:
-        args.metric = list(_DEFAULT_ORIENTATION_METRICS)
-    if args.command == "degrade" and not args.method:
-        args.method = list(_DEFAULT_DEGRADE_METHODS)
     try:
         # Checked once here: lexirecall, the random coin and the closed forms
         # never read the tolerance, so a bad value would pass unreported.

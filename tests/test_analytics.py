@@ -116,6 +116,18 @@ class TestTieProbability:
         ]:
             assert tie_probability(text, 12, 3) == tie_probability(name, 12, 3, k=k)
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 40).flatmap(
+        lambda D: st.tuples(st.just(D), st.integers(1, D), st.integers(1, 2000))
+    ))
+    def test_cutoff_beyond_the_corpus_is_the_corpus(self, case):
+        # recall@k with k >= D counts every relevant item, so every pair ties.
+        D, m, extra = case
+        at_d = tie_probability("recall@k", D, m, k=D)
+        assert at_d == 1
+        assert tie_probability("recall@k", D, m, k=D + extra) == at_d
+        assert tie_probability(MetricId.recall_at(D + extra), D, m) == at_d
+
     def test_cutoff_tie_rate_falls_with_more_relevant(self):
         probs = [
             float(tie_probability("recall@k", 10**6, m, k=1000))
@@ -128,8 +140,6 @@ class TestTieProbability:
             tie_probability("tse", 5, 6)
         with pytest.raises(ValidationError):
             tie_probability("recall@k", 10, 2)
-        with pytest.raises(ValidationError):
-            tie_probability("recall@k", 10, 2, k=11)
         with pytest.raises(ValidationError, match="no closed-form tie probability for AP"):
             tie_probability("ap", 10, 2)
         with pytest.raises(ValidationError, match="bad parameter 'x' in metric 'recall@x'"):
@@ -143,7 +153,7 @@ class TestTieProbability:
                 tie_probability(MetricId.recall_at(k), 100, 5)
         for metric in ("tse", MetricId.tse(), "rprecision", "lexirecall"):
             tie_probability(metric, 12, 3, k=0)  # k only matters for recall@k
-        with pytest.raises(ValidationError, match="need 1 <= k <= corpus_size"):
+        with pytest.raises(ValidationError, match="recall@k needs k >= 1"):
             tie_probability("recall@k", 12, 3, k=0)
 
 
@@ -472,6 +482,15 @@ class TestOrientation:
 
     def test_degenerate_full_corpus(self):
         assert orientation(MetricId.ap(), 5, 5) == (0.0, 0.0)
+
+    def test_equal_exposure_at_m_and_d_is_undefined(self):
+        # geometric(0.8) exposure underflows to 0.0 from about position 3340,
+        # so min-max scaling has no range left.
+        metric = MetricId.parse("tse:geometric:0.8")
+        assert orientation(metric, 10**5, 3330) == (0.0, 1.0)
+        for m in (3340, 3400):
+            with pytest.raises(UndefinedResultError, match=f"no orientation at m={m}"):
+                orientation(metric, 10**5, m)
 
 
 class TestDegradeJudgments:

@@ -19,7 +19,7 @@ from lexirank import (
     Imputation, JudgmentSet, Preference, RankedList, degrade_judgments, make_method, project_runs,
 )
 from lexirank.analytics import stable_seed
-from lexirank.cli import _load_collection, _load_runs, build_parser, main
+from lexirank.cli import _load_collection, build_parser, main
 
 import reference
 from conftest import interpreters_without_numpy, subprocess_env
@@ -92,7 +92,12 @@ class TestEval:
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
         first.write_text("q1 Q0 doc-1 1 2 ta\nq1 Q0 doc-2 2 1 ta\n")
         second.write_text("q1 Q0 doc-2 1 2 tb\nq1 Q0 doc-3 2 1 tb\n")
-        runs = _load_runs([str(first), str(second)], corpus_size=10)
+        qrels = tmp_path / "qrels.txt"
+        qrels.write_text("q1 0 doc-2 1\n")
+        argv = ["degrade", "--runs", str(first), "--runs", str(second), "--qrels", str(qrels)]
+        _judgments, runs, _evaluable = _load_collection(
+            build_parser().parse_args([*argv, "--corpus-size", "10"])
+        )
         a, b = runs["ta"]["q1"], runs["tb"]["q1"]
         assert a.items[1] == b.items[0] == "doc-2"
         assert a.items[1] is b.items[0]
@@ -200,10 +205,14 @@ class TestLoadOrder:
             (["q2deep", "ta"], ["eval"], [_MISSING],
              "cannot impute 1 items below a prefix of 3 in a corpus of 3"),
             (["ta"], ["compare"], [_MISSING], "compare needs at least two runs"),
+            (["ta"], ["degrade"], [_MISSING], "degrade needs at least two runs"),
             (["ta", "ok"], ["eval", "--imputation", "optimistic"], [_MISSING],
              "cannot place 1 items after a prefix of 3 in a corpus of 3"),
         ],
-        ids=["parse-error", "tag-error", "projection", "request-order", "two-runs", "optimistic"],
+        ids=[
+            "parse-error", "tag-error", "projection", "request-order", "two-runs",
+            "degrade-two-runs", "optimistic",
+        ],
     )
     def test_errors_keep_their_order(
         self, tmp_path, capsys, caplog, files, command, warnings, error
@@ -232,11 +241,14 @@ class TestLoader:
     @given(reference.collections())
     def test_vectors_projected_per_file_equal_project_runs(self, collection):
         with tempfile.TemporaryDirectory() as work:
-            paths, _qrels, flags = reference.write(collection, work)
+            _paths, _qrels, flags = reference.write(collection, work)
             args = build_parser().parse_args(["eval", *flags])
             mode = Imputation(args.imputation)
             judgments, projected, evaluable = _load_collection(args, mode)
-            runs = _load_runs(paths, args.corpus_size, args.depth)
+            # A degrade load keeps the rankings the projection was made from.
+            _judgments, runs, _evaluable = _load_collection(
+                build_parser().parse_args(["degrade", *flags])
+            )
         assert projected == project_runs(runs, judgments, evaluable, mode)
 
     def test_vectors_of_a_request_share_their_tail_ints(self, tmp_path):
@@ -347,9 +359,9 @@ class TestCompare:
         assert run_cli(["compare", *data_args(out), "--method", "lexirecall", "--hsd"]) == 1
         assert "per-request scores" in capsys.readouterr().err
 
-    def test_metric_method_with_one_request_sets_p_to_one(self, tmp_path, capsys, caplog):
-        # The paired t-test needs two requests: one warning, as for the
-        # undefined sign test, and not an error. Tukey HSD still fails.
+    def test_metric_method_with_one_request_sets_p_to_one(self, tmp_path, caplog):
+        # The paired t-test and Tukey HSD need two requests: one warning
+        # each, as for the undefined sign test, and not an error.
         qrels = tmp_path / "one.txt"
         qrels.write_text("".join(
             line for line in Path(QRELS).read_text().splitlines(keepends=True)
@@ -366,10 +378,13 @@ class TestCompare:
         assert [r.message for r in caplog.records if "t-test" in r.message] == [
             "one evaluable request: no paired t-test; p set to 1"
         ]
-        out.unlink()
-        assert run_cli(["compare", *argv, "--hsd"]) == 1
-        assert capsys.readouterr().err.startswith("error: Tukey HSD needs at least 2 runs")
-        assert not out.exists()
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run_cli(["compare", *argv, "--hsd"]) == 0
+        assert {row["p_hsd"] for row in json.loads(out.read_text())} == {1.0}
+        assert [r.message for r in caplog.records if "HSD" in r.message] == [
+            "one evaluable request: no Tukey HSD; p_hsd set to 1"
+        ]
 
     def test_hsd_with_metric_method(self, tmp_path):
         out = tmp_path / "cmp.tsv"
@@ -387,6 +402,13 @@ class TestOtherCommands:
         assert code == 0
         lines = out.read_text().splitlines()
         assert len(lines) == 5
+
+    def test_ties_analytic_at_a_cutoff_beyond_the_corpus(self, tmp_path):
+        # The default --k 1000 on a corpus of 500 is recall@500, which always ties.
+        out = tmp_path / "ties.tsv"
+        assert run_cli(["ties", "--corpus-size", "500", "--m", "10", "--out", out]) == 0
+        rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
+        assert ["500", "10", "recall@1000", "1"] in rows
 
     def test_ties_empirical(self, tmp_path):
         out = tmp_path / "ties.tsv"
@@ -440,6 +462,37 @@ class TestOtherCommands:
         )
         assert code == 0
         assert len(out.read_text().splitlines()) == 1 + 4 * 7
+
+    def test_orientation_with_equal_exposure_at_m_and_d_fails_cleanly(self, tmp_path, capsys):
+        # geometric(0.8) exposure underflows to 0.0 from about position 3340.
+        argv = ["orientation", "--corpus-size", "100000", "--m-range", "3400", "3400",
+                "--metric", "tse:geometric:0.8", "--out", tmp_path / "o.tsv"]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: TSE[geometric(0.8)] has no orientation at m=3400:"
+            " its exposure at m and D=100000 is equal\n"
+        )
+        assert not (tmp_path / "o.tsv").exists()
+
+    @pytest.mark.parametrize(
+        "argv,column,labels",
+        [
+            (["eval", *data_args("-")], "metric",
+             ["AP", "NDCG", "recall@1000", "RPrecision", "TSE"]),
+            (["simulate-agreement", "--corpus-size", "200", "--pairs", "50"], "metric",
+             ["TSE", "recall@1000", "RPrecision", "AP", "NDCG", "random"]),
+            (["orientation", "--corpus-size", "200", "--m-range", "1", "1"], "metric",
+             ["RR", "NDCG", "AP", "recall@1000", "RPrecision", "RBP(0.8)", "TSE"]),
+            (["degrade", *data_args("-"), "--samples", "1", "--fractions", "0"], "method",
+             ["lexirecall", "AP", "recall@1000"]),
+        ],
+        ids=["eval", "simulate-agreement", "orientation", "degrade"],
+    )
+    def test_default_list_runs_without_its_flag(self, tmp_path, argv, column, labels):
+        out = tmp_path / "out.json"
+        assert run_cli([*argv, "--format", "json", "--out", out]) == 0
+        rows = json.loads(out.read_text())
+        assert list(dict.fromkeys(row[column] for row in rows)) == labels
 
     def test_degrade(self, tmp_path):
         out = tmp_path / "deg.tsv"
