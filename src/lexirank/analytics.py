@@ -86,23 +86,6 @@ class SimulationConfig(Record):
         object.__setattr__(self, "seed", seed)
 
 
-_TIE_METRIC_NAMES = ("recall@k", "lexirecall")
-_TIE_METRIC_KINDS = {
-    MetricKind.TSE: "tse", MetricKind.RECALL_AT_K: "recall@k", MetricKind.RPRECISION: "rprecision",
-}
-
-
-def _tie_metric_name(metric: str | MetricId, corpus_size: int) -> tuple[str, int | None]:
-    if isinstance(metric, str):
-        name = metric.strip().lower()
-        if name in _TIE_METRIC_NAMES:
-            return name, None
-        metric = MetricId.parse(metric, corpus_size)
-    if metric.kind not in _TIE_METRIC_KINDS:
-        raise ValidationError(f"no closed-form tie probability for {metric.label}")
-    return _TIE_METRIC_KINDS[metric.kind], metric.k
-
-
 def _bottom_tie_numerator(corpus_size: int, m: int) -> int:
     # sum_i C(i-1, m-1)^2 in its finite closed form
     #   sum_j C(m-1+j, m-1) C(m-1, j) C(D, m+j),  0 <= j <= min(m-1, D-m),
@@ -142,27 +125,24 @@ def tie_probability(
     """
     if not 1 <= m <= corpus_size:
         raise ValidationError(f"need 1 <= m <= corpus_size, got m={m}, D={corpus_size}")
-    name, metric_k = _tie_metric_name(metric, corpus_size)
-    if metric_k is not None:
-        k = metric_k
     total = math.comb(corpus_size, m)
-    if name == "lexirecall":
-        return Fraction(1, total)
-    if name == "tse":
-        num = _bottom_tie_numerator(corpus_size, m)
-        return Fraction(num, total * total)
-    if name == "rprecision":
+    if isinstance(metric, str):
+        name = metric.strip().lower()
+        if name == "lexirecall":
+            return Fraction(1, total)
+        if name == "recall@k" and k is None:
+            raise ValidationError("recall@k tie probability needs k")
+        metric = (
+            MetricId.recall_at(k) if name == "recall@k" else MetricId.parse(metric, corpus_size)
+        )
+    if metric.kind is MetricKind.TSE:
+        return Fraction(_bottom_tie_numerator(corpus_size, m), total * total)
+    if metric.kind is MetricKind.RECALL_AT_K:
+        k = min(metric.k, corpus_size)  # recall@k at k >= D is recall@D
+    elif metric.kind is MetricKind.RPRECISION:
         k = m
-    elif k is None:
-        raise ValidationError("recall@k tie probability needs k")
     else:
-        try:
-            k = operator.index(k)
-        except TypeError as exc:
-            raise ValidationError(f"recall@k needs an integer k: {exc}") from None
-        if k < 1:
-            raise ValidationError(f"recall@k needs k >= 1, got {k}")
-        k = min(k, corpus_size)  # recall@k at k >= D is recall@D
+        raise ValidationError(f"no closed-form tie probability for {metric.label}")
     num = sum(
         math.comb(k, i) ** 2 * math.comb(corpus_size - k, m - i) ** 2
         for i in range(0, m + 1)

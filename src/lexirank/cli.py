@@ -17,6 +17,7 @@ import argparse
 import logging
 import math
 import sys
+from contextlib import nullcontext
 from itertools import combinations
 from pathlib import Path
 from typing import Sequence
@@ -43,7 +44,7 @@ def _load_collection(
     """The judgments, the runs and the sorted evaluable requests of a collection.
 
     The qrels are parsed first, then each ``--runs`` file in turn, keyed by
-    its system tag; a tag already taken falls back to the file's stem.
+    its system tag, or by its stem if another file carries the same tag.
     ``--depth`` truncates every ranking to its top entries before projection,
     which is how retrieval-depth studies are driven on real collections.
     With a ``mode``, each file's evaluable cells are projected as soon as it
@@ -67,6 +68,7 @@ def _load_collection(
     projected: dict[str, dict[str, RelevantPositions]] = {q: {} for q in evaluable}
     runs: dict[str, object] = {}
     ids: dict[str, str] | None = {} if mode is None else None
+    stems: dict[str, str | None] = {}  # tag -> the stem of its one file; None once shared
     # The first failed cell's request index and error. A later file's
     # failure replaces it only at an earlier request.
     failed_at, failure = len(evaluable), None
@@ -79,11 +81,22 @@ def _load_collection(
                 request_id: ranked._replace(items=ranked.items[: args.depth])
                 for request_id, ranked in parsed.items()
             }
-        tag = next(iter(parsed.values())).system_tag or Path(path).stem
-        if tag in runs:
-            fallback = Path(path).stem
-            logger.warning("duplicate run tag %r; using file stem %r", tag, fallback)
-            tag = fallback
+        stem = Path(path).stem
+        tag = next(iter(parsed.values())).system_tag or stem
+        if tag in stems:  # a shared tag: every file that carries it goes by its stem
+            first, stems[tag] = stems[tag], None
+            if first is not None:
+                logger.warning("duplicate run tag %r; using file stem %r", tag, first)
+                if first != tag and first in runs:
+                    raise ValidationError(f"cannot disambiguate run tag {first!r}")
+                runs[first] = runs.pop(tag)
+                for cells in projected.values():
+                    if tag in cells:
+                        cells[first] = cells.pop(tag)
+            logger.warning("duplicate run tag %r; using file stem %r", tag, stem)
+            tag = stem
+        else:
+            stems[tag] = stem
         if tag in runs:
             raise ValidationError(f"cannot disambiguate run tag {tag!r}")
         if mode is not None:
@@ -117,8 +130,7 @@ def _load_collection(
 
 def _write_output(rows: list[dict], args) -> None:
     """Write ``rows`` to ``--out`` in ``--format``, columns in the first row's key order."""
-    destination = sys.stdout if args.out == "-" else args.out
-    tables.write_table(rows, list(rows[0]), destination, fmt=args.format)
+    tables.write_table(rows, list(rows[0]), args.out, fmt=args.format)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -224,20 +236,20 @@ def _m_values(args) -> list[int]:
 
 
 def cmd_ties(args) -> int:
+    methods = ("tse", f"recall@{args.k}", "rprecision", "lexirecall")
     if args.mode == "analytic":
-        rows = []
-        for m in _m_values(args):
-            for name in ("tse", "recall@k", "rprecision", "lexirecall"):
-                prob = analytics.tie_probability(name, args.corpus_size, m, k=args.k)
-                label = f"recall@{args.k}" if name == "recall@k" else name
-                rows.append(
-                    {
-                        "D": args.corpus_size,
-                        "m": m,
-                        "metric": label,
-                        "tie_probability": float(prob),
-                    }
-                )
+        if args.depth is not None:
+            raise ValidationError("--depth applies to --mode empirical")
+        rows = [
+            {
+                "D": args.corpus_size,
+                "m": m,
+                "metric": name,
+                "tie_probability": float(analytics.tie_probability(name, args.corpus_size, m)),
+            }
+            for m in _m_values(args)
+            for name in methods
+        ]
         _write_output(rows, args)
         return 0
     m_values = _m_values(args)
@@ -254,7 +266,6 @@ def cmd_ties(args) -> int:
         retrieval_depth=args.depth,
         seed=args.seed,
     )
-    methods = ["tse", f"metric:recall@{args.k}", "metric:rprecision", "lexirecall"]
     fractions = analytics.tie_fractions(
         analytics.simulate_pairs(config), methods, tolerance=args.tolerance
     )
@@ -463,12 +474,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             raise ValidationError(
                 f"tolerance must be a finite non-negative number, got {args.tolerance}"
             )
-        return args.func(args)
+        # Opened before the command runs: a path it cannot write fails before any work.
+        out = nullcontext(sys.stdout) if args.out == "-" else tables._replacing(args.out)
+        with out as args.out:
+            return args.func(args)
     except (LexirankError, OSError, ModuleNotFoundError) as exc:
         # ModuleNotFoundError: numpy is missing and the command needs it.
         print(f"error: {exc}", file=sys.stderr)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -41,9 +41,10 @@ import operator
 import os
 import re
 import stat
+from contextlib import contextmanager
 from itertools import chain, compress, count, islice
 from pathlib import Path
-from typing import IO, Callable, Iterable, Mapping, Sequence
+from typing import IO, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .core import JudgmentSet, RankedList
 from .errors import ParseError, ValidationError
@@ -368,30 +369,18 @@ def _write_rows(
         fh.write("\n")
 
 
-def write_table(
-    rows: Iterable[Mapping[str, object]],
-    columns: Sequence[str],
-    destination: str | Path | IO[str],
-    fmt: str = "tsv",
-) -> None:
-    """Write rows as TSV (floats at 6 significant digits) or lossless JSON.
-
-    A path is replaced atomically: the table is written to a temporary file
-    in the same directory and renamed over the path only once complete, so a
-    failed write leaves an existing file as it was. Streams, and paths that
-    exist but are not regular files (``/dev/stdout``, a pipe), are written
-    directly.
-    """
-    if fmt not in ("tsv", "json"):
-        raise ValidationError(f"unknown format {fmt!r}; use tsv or json")
-    if not isinstance(destination, (str, Path)):
-        _write_rows(rows, columns, destination, fmt)
-        return
+@contextmanager
+def _replacing(destination: str | Path) -> Iterator[IO[str]]:
+    """A text handle whose contents replace ``destination`` once the block ends
+    without an error: a temporary file beside it, renamed over it, so a failed
+    block leaves an existing file as it was and a path that cannot be written
+    fails on entry. A path that exists but is not a regular file
+    (``/dev/stdout``, a pipe) is written directly."""
     target = os.path.realpath(destination)
     existing = os.stat(target) if os.path.exists(target) else None
     if existing is not None and not stat.S_ISREG(existing.st_mode):
         with open(target, "w", encoding="utf-8") as fh:
-            _write_rows(rows, columns, fh, fmt)
+            yield fh
         return
     head, tail = os.path.split(target)
     temp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
@@ -402,10 +391,27 @@ def write_table(
         raise type(exc)(exc.errno, exc.strerror, str(destination)) from None
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            _write_rows(rows, columns, fh, fmt)
+            yield fh
         if existing is not None:
             os.chmod(temp, stat.S_IMODE(existing.st_mode))
         os.replace(temp, target)
     except BaseException:
         os.unlink(temp)
         raise
+
+
+def write_table(
+    rows: Iterable[Mapping[str, object]],
+    columns: Sequence[str],
+    destination: str | Path | IO[str],
+    fmt: str = "tsv",
+) -> None:
+    """Write rows as TSV (floats at 6 significant digits) or lossless JSON, to
+    a stream or, replacing it atomically as ``_replacing`` does, to a path."""
+    if fmt not in ("tsv", "json"):
+        raise ValidationError(f"unknown format {fmt!r}; use tsv or json")
+    if isinstance(destination, (str, Path)):
+        with _replacing(destination) as fh:
+            _write_rows(rows, columns, fh, fmt)
+    else:
+        _write_rows(rows, columns, destination, fmt)

@@ -168,10 +168,9 @@ def parse_method(spec: str | MetricId, corpus_size: int | None = None) -> str | 
 def make_method(
     spec: str | MetricId,
     tolerance: float = DEFAULT_TOLERANCE,
-    corpus_size: int | None = None,
 ) -> tuple[str, PreferenceFn]:
     """Resolve a comparison-method spec into a labelled preference function."""
-    method = parse_method(spec, corpus_size)
+    method = parse_method(spec)
     if method == "lexirecall":
         return "lexirecall", lexirecall_compare
     if method == "tse":

@@ -1,10 +1,12 @@
 """Tie combinatorics vs enumeration, simulator determinism, orientation, degradation."""
 
+import json
 import math
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +31,8 @@ from lexirank import (
 )
 from lexirank import analytics
 from lexirank.analytics import _CHUNK_PAIRS, _pair_blocks, stable_seed
+
+METRIC_NAMES = Path(__file__).parent / "golden" / "metric_names.json"
 
 
 class TestExactProbability:
@@ -78,6 +82,14 @@ def _bottom_tie_numerator_by_recurrence(D, m):
     return total
 
 
+def _tie_outcome(metric):
+    """``tie_probability(metric(), 12, 3)``, or the message of its ``ValidationError``."""
+    try:
+        return tie_probability(metric(), 12, 3)
+    except ValidationError as exc:
+        return str(exc)
+
+
 class TestTieProbability:
     def test_bottom_closed_form_matches_recurrence(self):
         cases = [(D, m) for D in range(1, 61) for m in range(1, D + 1)]
@@ -115,6 +127,13 @@ class TestTieProbability:
             ("R-Precision", "rprecision", None),
         ]:
             assert tie_probability(text, 12, 3) == tie_probability(name, 12, 3, k=k)
+        # Every spelling MetricId.parse is pinned on reads as its parse, or
+        # fails with the same message; lexirecall is the one name beyond it.
+        spellings = {row["text"] for row in json.loads(METRIC_NAMES.read_text()) if "text" in row}
+        for text in sorted(spellings - {"lexirecall"}):
+            parsed = _tie_outcome(lambda: MetricId.parse(text, 12))
+            assert _tie_outcome(lambda: text) == parsed, text
+        assert tie_probability(" Lexirecall ", 12, 3) == Fraction(1, math.comb(12, 3))
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 40).flatmap(

@@ -4,10 +4,11 @@ import ast
 import json
 import logging
 import operator
+import os
 import subprocess
 import sys
 import tempfile
-from itertools import combinations
+from itertools import combinations, permutations
 from pathlib import Path
 
 import pytest
@@ -198,7 +199,7 @@ class TestLoadOrder:
         [
             (["ta", "malformed"], ["eval"], [],
              "expected 6 whitespace-separated fields, got 4 [{malformed}:2]"),
-            (["ta", "same-tag"], ["eval"], ["duplicate run tag 'ta'; using file stem 'ta'"],
+            (["ta", "same-tag"], ["eval"], ["duplicate run tag 'ta'; using file stem 'ta'"] * 2,
              "cannot disambiguate run tag 'ta'"),
             (["ta", "ok"], ["eval"], [_MISSING],
              "cannot impute 1 items below a prefix of 3 in a corpus of 3"),
@@ -410,6 +411,14 @@ class TestOtherCommands:
         rows = [line.split("\t") for line in out.read_text().splitlines()[1:]]
         assert ["500", "10", "recall@1000", "1"] in rows
 
+    def test_ties_analytic_rejects_depth(self, tmp_path, capsys):
+        # The closed forms are for full rankings; a depth would be ignored.
+        out = tmp_path / "ties.tsv"
+        argv = ["ties", "--corpus-size", "1000", "--m", "10", "--depth", "50", "--out", out]
+        assert run_cli(argv) == 1
+        assert capsys.readouterr().err == "error: --depth applies to --mode empirical\n"
+        assert not out.exists()
+
     def test_ties_empirical(self, tmp_path):
         out = tmp_path / "ties.tsv"
         code = run_cli(
@@ -551,6 +560,43 @@ class TestDeterminismAndErrors:
         assert run_cli([*command, *data_args(out1)]) == 0
         assert run_cli([*command, *data_args(out2, runs=RUNS[::-1])]) == 0
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_run_labels_do_not_depend_on_run_order(self, tmp_path, capsys):
+        # x and y both carry the tag S, so each goes by its stem in every order.
+        shared = []
+        for stem, source in (("x", RUNS[0]), ("y", RUNS[1])):
+            lines = Path(source).read_text().splitlines()
+            path = tmp_path / f"{stem}.txt"
+            path.write_text("".join(line.rsplit(" ", 1)[0] + " S\n" for line in lines))
+            shared.append(str(path))
+        outputs = set()
+        for runs in permutations([*shared, RUNS[2]]):
+            assert run_cli(["eval", *data_args("-", runs=runs), "--metric", "AP"]) == 0
+            outputs.add(capsys.readouterr().out)
+        [output] = outputs
+        assert {line.split("\t")[1] for line in output.splitlines()[1:]} == {"x", "y", "sysC"}
+
+    @pytest.mark.parametrize("where", ["absent-directory", "directory"])
+    @pytest.mark.parametrize(
+        "command", [["eval"], ["degrade", "--samples", "2"]], ids=["eval", "degrade"]
+    )
+    def test_unwritable_out_fails_before_the_command_runs(
+        self, tmp_path, capsys, caplog, command, where
+    ):
+        # Loading the fixtures would warn three times before the output is written.
+        if where == "directory":
+            out, error = tmp_path, f"[Errno 21] Is a directory: '{os.path.realpath(tmp_path)}'"
+        else:
+            out = tmp_path / "absent" / "x.tsv"
+            error = f"[Errno 2] No such file or directory: '{out}'"
+        assert run_cli([*command, *data_args(out)]) == 1
+        assert capsys.readouterr().err == f"error: {error}\n"
+        assert not caplog.records
+        assert list(tmp_path.iterdir()) == []
+        existing = tmp_path / "existing.tsv"
+        existing.write_text("old\n")
+        assert run_cli([*command, *data_args(existing)]) == 0
+        assert existing.read_text().startswith(("request_id\t", "fraction\t"))
 
     def test_missing_file_fails_without_traceback(self, tmp_path, capsys):
         out = tmp_path / "x.tsv"
@@ -919,7 +965,7 @@ class TestRunPairPreferences:
     )
     def test_tallies_equal_a_nested_loop(self, cells, method, tolerance, fraction, seed):
         runs, judgments = cells
-        _name, fn = make_method(method, tolerance, corpus_size=12)
+        _name, fn = make_method(method, tolerance)
         requests = sorted(judgments)
         pairs = list(combinations(sorted(runs), 2))
         full = project_runs(runs, judgments, requests)
